@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -48,14 +49,18 @@ def load(cache_dir: Path, family: str, params: dict) -> Optional[list[str]]:
         return None
     try:
         payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("entry is not a JSON object")
         if payload.get("key") != cache_key(family, params):
             _warn(f"stale key in {path.name}, recomputing")
             return None
         coeffs = payload["coefficients"]
         if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
             raise ValueError("bad coefficient payload")
+        for c in coeffs:
+            Fraction(c)  # a coefficient that does not parse raises here
         return coeffs
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, ZeroDivisionError) as exc:
         _warn(f"ignoring corrupt entry {path.name} ({exc})")
         return None
 

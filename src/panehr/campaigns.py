@@ -68,8 +68,15 @@ def _bool_row(params: dict, ok: bool, expected: str, actual: str) -> Row:
 # units per campaign; each unit is a picklable (name, kwargs) task
 
 
-def units_identity_main(max_s: int, max_q: int) -> list[dict]:
+def units_by_s(max_s: int, max_q: int) -> list[dict]:
+    """One unit per s, each sweeping q up to max_q."""
     return [{"s": s, "max_q": max_q} for s in range(1, max_s + 1)]
+
+
+def units_by_sq(max_s: int, max_q: int) -> list[dict]:
+    """One unit per (s, q) cell."""
+    return [{"s": s, "q": q} for s in range(1, max_s + 1)
+            for q in range(max_q + 1)]
 
 
 def run_identity_main(s: int, max_q: int) -> list[Row]:
@@ -85,10 +92,6 @@ def run_identity_main(s: int, max_q: int) -> list[Row]:
                         {"s": s, "q": q, "k": k, "ell": ell, "m": m},
                         counted, formula))
     return rows
-
-
-def units_identity_lah(max_s: int, max_q: int) -> list[dict]:
-    return [{"s": s, "max_q": max_q} for s in range(1, max_s + 1)]
 
 
 def run_identity_lah(s: int, max_q: int) -> list[Row]:
@@ -109,10 +112,6 @@ def run_identity_lah(s: int, max_q: int) -> list[Row]:
     return rows
 
 
-def units_identity_upper(max_s: int, max_q: int) -> list[dict]:
-    return [{"s": s, "max_q": max_q} for s in range(1, max_s + 1)]
-
-
 def run_identity_upper(s: int, max_q: int) -> list[Row]:
     census = forests.cf1_census(s + 1)
     rows = []
@@ -128,11 +127,6 @@ def run_identity_upper(s: int, max_q: int) -> list[Row]:
                         {**params, "check": "nonnegative"},
                         formula >= 0, ">=0", str(formula)))
     return rows
-
-
-def units_per_term(max_s: int, max_q: int) -> list[dict]:
-    return [{"s": s, "q": q} for s in range(1, max_s + 1)
-            for q in range(max_q + 1)]
 
 
 def run_per_term(s: int, q: int) -> list[Row]:
@@ -160,11 +154,6 @@ def run_per_term(s: int, q: int) -> list[Row]:
                          "side": "leader1"},
                         counted, formula))
     return rows
-
-
-def units_phi(max_s: int, max_q: int) -> list[dict]:
-    return [{"s": s, "q": q} for s in range(1, max_s + 1)
-            for q in range(max_q + 1)]
 
 
 def run_phi(s: int, q: int) -> list[Row]:
@@ -213,11 +202,6 @@ def run_phi(s: int, q: int) -> list[Row]:
     return rows
 
 
-def units_involution(max_s: int, max_q: int) -> list[dict]:
-    return [{"s": s, "q": q} for s in range(1, max_s + 1)
-            for q in range(max_q + 1)]
-
-
 def run_involution(s: int, q: int) -> list[Row]:
     """Sign cancellation battery for one (s, q) cell.
 
@@ -233,23 +217,14 @@ def run_involution(s: int, q: int) -> list[Row]:
     plain_count: dict = {}
     classes: dict = {}
     for d in forests.iter_dcf(q, s):
-        ends = forests.block_ends(d.blocks)
-        k = len(d.blocks)
-        gvec = tuple(sum(1 for e in ends if e > ell) for ell in range(s))
-        classes[d] = (k, gvec)
         if processing.negative_side(d):
             minus.append(d)
-            for ell in range(s):
-                key = (k, ell, gvec[ell])
-                minus_count[key] = minus_count.get(key, 0) + 1
+            side = minus_count
         elif processing.positive_side(d):
-            for ell in range(s):
-                key = (k, ell, gvec[ell])
-                plus_count[key] = plus_count.get(key, 0) + 1
+            side = plus_count
         else:
-            for ell in range(s):
-                key = (k, ell, gvec[ell])
-                plain_count[key] = plain_count.get(key, 0) + 1
+            side = plain_count
+        classes[d] = (len(d.blocks), forests.tally_gamma(side, (), d.blocks))
     problems = []
     seen = set()
     for d in minus:
@@ -260,10 +235,7 @@ def run_involution(s: int, q: int) -> list[Row]:
         seen.add(y)
         if not processing.positive_side(y):
             problems.append(f"image not on plus side: {forests.format_distinguished(y)}")
-        yk = len(y.blocks)
-        yends = forests.block_ends(y.blocks)
-        ygvec = tuple(sum(1 for e in yends if e > ell) for ell in range(s))
-        if (yk, ygvec) != classes[d]:
+        if (len(y.blocks), forests.gamma_vector(y.blocks)) != classes[d]:
             problems.append(f"class changed at {forests.format_distinguished(d)}")
     rows = [_bool_row({"s": s, "q": q, "check": "injective-into-plus"},
                       not problems,
@@ -425,22 +397,22 @@ def _register(name, units, runner, defaults, description):
                                description)
 
 
-_register("identity-main", units_identity_main, run_identity_main,
+_register("identity-main", units_by_s, run_identity_main,
           {"max_s": 7, "max_q": 6},
           "refined chain-forest count vs its closed form")
-_register("identity-lah", units_identity_lah, run_identity_lah,
+_register("identity-lah", units_by_s, run_identity_lah,
           {"max_s": 7, "max_q": 6},
           "total chain-forest count vs its closed form, plus marginals")
-_register("identity-upper", units_identity_upper, run_identity_upper,
+_register("identity-upper", units_by_s, run_identity_upper,
           {"max_s": 6, "max_q": 4},
           "leader-1 forest count vs the upper-bound expression")
-_register("per-term", units_per_term, run_per_term,
+_register("per-term", units_by_sq, run_per_term,
           {"max_s": 5, "max_q": 4},
           "signed distinguished-forest sums vs individual summands")
-_register("phi", units_phi, run_phi,
+_register("phi", units_by_sq, run_phi,
           {"max_s": 6, "max_q": 4},
           "processing map bijectivity and image characterization")
-_register("involution", units_involution, run_involution,
+_register("involution", units_by_sq, run_involution,
           {"max_s": 6, "max_q": 4},
           "sign-reversing pairing and cancellation")
 _register("ehrhart-oracle", units_ehrhart_oracle, run_ehrhart_oracle,
@@ -459,14 +431,22 @@ def _run_unit(task: tuple[str, dict]) -> list[Row]:
     return CAMPAIGNS[name].runner(**kwargs)
 
 
-def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> list[Row]:
-    """Run one campaign; rows come back in deterministic grid order."""
-    spec = CAMPAIGNS[name]
-    merged = dict(spec.defaults)
+def campaign_bounds(name: str, bounds: dict | None = None) -> dict:
+    """The campaign's default bounds overridden by the given ones; None
+    values and keys the campaign does not take are ignored."""
+    merged = dict(CAMPAIGNS[name].defaults)
     for key, value in (bounds or {}).items():
         if value is not None and key in merged:
+            if value < 0:
+                raise ValueError(f"bound {key}={value} must be nonnegative")
             merged[key] = value
-    tasks = [(name, unit) for unit in spec.units(**merged)]
+    return merged
+
+
+def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> list[Row]:
+    """Run one campaign; rows come back in deterministic grid order."""
+    merged = campaign_bounds(name, bounds)
+    tasks = [(name, unit) for unit in CAMPAIGNS[name].units(**merged)]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_run_unit, tasks))
@@ -477,13 +457,15 @@ def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> list[R
 
 def run_campaign_report(name: str, bounds: dict | None = None,
                         jobs: int = 1) -> SweepReport:
-    """Run one campaign and wrap the rows with bounds and wall time."""
-    spec = CAMPAIGNS[name]
-    merged = dict(spec.defaults)
-    for key, value in (bounds or {}).items():
-        if value is not None and key in merged:
-            merged[key] = value
+    """Run one campaign and wrap the rows with bounds and wall time.
+
+    A run that checks no tuple would pass vacuously, so it raises
+    ValueError instead.
+    """
+    merged = tuple(sorted(campaign_bounds(name, bounds).items()))
     started = time.monotonic()
     rows = run_campaign(name, bounds, jobs)
-    return SweepReport(name, tuple(sorted(merged.items())), tuple(rows),
-                       time.monotonic() - started)
+    if not rows:
+        raise ValueError(f"campaign {name} checks no tuples at "
+                         + " ".join(f"{k}={v}" for k, v in merged))
+    return SweepReport(name, merged, tuple(rows), time.monotonic() - started)

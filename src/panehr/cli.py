@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, cache, campaigns, ehrhart, forests, oracle
 from .exactmath import Polynomial, poly_from_json, poly_to_json
@@ -37,36 +38,38 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="never emit ANSI color codes")
 
 
-COMPUTE_FAMILIES = ("panhandle", "paving", "hypersimplex", "phi", "psi")
+class Family(NamedTuple):
+    """How the CLI reads, checks and computes one polynomial family."""
+
+    flags: tuple[str, ...]              # required parameters, in call order
+    validate: Callable[..., None]       # raises ValueError on bad parameters
+    compute: Callable[..., Polynomial]
+    sized: bool = False                 # takes --hyperplane-sizes as a last argument
 
 
-def _compute_poly(family: str, args) -> tuple[Polynomial, dict]:
-    if family == "panhandle":
-        _need(args, "r", "s", "n")
-        ehrhart.validate_panhandle(args.r, args.s, args.n)
-        return ehrhart.ehr_panhandle(args.r, args.s, args.n), \
-            {"r": args.r, "s": args.s, "n": args.n}
-    if family == "phi":
-        _need(args, "r", "s", "n")
-        ehrhart.validate_panhandle(args.r, args.s, args.n)
-        return ehrhart.phi_poly(args.r, args.s, args.n), \
-            {"r": args.r, "s": args.s, "n": args.n}
-    if family == "psi":
-        _need(args, "r", "s", "n")
-        ehrhart.validate_panhandle(args.r, args.s, args.n)
-        return ehrhart.psi_poly(args.r, args.s, args.n), \
-            {"r": args.r, "s": args.s, "n": args.n}
-    if family == "hypersimplex":
-        _need(args, "r", "n")
-        return ehrhart.ehr_hypersimplex(args.r, args.n), \
-            {"r": args.r, "n": args.n}
-    if family == "paving":
-        _need(args, "r", "n")
+FAMILIES: dict[str, Family] = {
+    "panhandle": Family(("r", "s", "n"), ehrhart.validate_panhandle, ehrhart.ehr_panhandle),
+    "paving": Family(("r", "n"), ehrhart.validate_paving, ehrhart.ehr_paving, sized=True),
+    "hypersimplex": Family(("r", "n"), ehrhart.validate_rank, ehrhart.ehr_hypersimplex),
+    "phi": Family(("r", "s", "n"), ehrhart.validate_panhandle, ehrhart.phi_poly),
+    "psi": Family(("r", "s", "n"), ehrhart.validate_panhandle, ehrhart.psi_poly),
+}
+COMPUTE_FAMILIES = tuple(FAMILIES)
+
+
+def _family_call(family: str, args) -> tuple[tuple, dict]:
+    """Validated call arguments for the family's functions, and the
+    parameters that key its cache entry."""
+    spec = FAMILIES[family]
+    _need(args, *spec.flags)
+    call = tuple(getattr(args, name) for name in spec.flags)
+    params = dict(zip(spec.flags, call))
+    if spec.sized:
         sizes = tuple(sorted(args.hyperplane_sizes or []))
-        poly = ehrhart.ehr_paving(args.r, args.n, sizes)
-        return poly, {"r": args.r, "n": args.n,
-                      "sizes": "+".join(map(str, sizes)) or "none"}
-    raise ValueError(f"unknown family {family!r}")
+        call += (sizes,)
+        params["sizes"] = "+".join(map(str, sizes)) or "none"
+    spec.validate(*call)
+    return call, params
 
 
 def _need(args, *names) -> None:
@@ -79,18 +82,15 @@ def _need(args, *names) -> None:
 def cmd_compute(args) -> int:
     cache_dir = args.cache_dir or cache.default_cache_dir()
     try:
-        if args.no_cache:
-            poly, params = _compute_poly(args.family, args)
+        call, params = _family_call(args.family, args)
+        hit = None if args.no_cache else cache.load(cache_dir, args.family, params)
+        if hit is not None:
+            print(f"panehr: cache hit for {cache.cache_key(args.family, params)}",
+                  file=sys.stderr)
+            poly = poly_from_json(hit)
         else:
-            # probe the cache with just the parameters, then fill it
-            _, params = _probe_params(args.family, args)
-            hit = cache.load(cache_dir, args.family, params)
-            if hit is not None:
-                print(f"panehr: cache hit for {cache.cache_key(args.family, params)}",
-                      file=sys.stderr)
-                poly = poly_from_json(hit)
-            else:
-                poly, params = _compute_poly(args.family, args)
+            poly = FAMILIES[args.family].compute(*call)
+            if not args.no_cache:
                 cache.store(cache_dir, args.family, params, poly_to_json(poly))
     except ValueError as exc:
         _err(str(exc))
@@ -100,29 +100,6 @@ def cmd_compute(args) -> int:
     else:
         print(str(poly))
     return 0
-
-
-def _probe_params(family: str, args) -> tuple[None, dict]:
-    if family in ("panhandle", "phi", "psi"):
-        _need(args, "r", "s", "n")
-        ehrhart.validate_panhandle(args.r, args.s, args.n)
-        return None, {"r": args.r, "s": args.s, "n": args.n}
-    if family == "hypersimplex":
-        _need(args, "r", "n")
-        if not 1 <= args.r <= args.n - 1:
-            raise ValueError(f"hypersimplex needs 1 <= r <= n-1, got r={args.r}, n={args.n}")
-        return None, {"r": args.r, "n": args.n}
-    if family == "paving":
-        _need(args, "r", "n")
-        sizes = tuple(sorted(args.hyperplane_sizes or []))
-        if not 1 <= args.r <= args.n - 1:
-            raise ValueError(f"need 1 <= r <= n-1, got r={args.r}, n={args.n}")
-        for size in sizes:
-            if not args.r <= size <= args.n - 1:
-                raise ValueError(f"hyperplane size {size} outside [{args.r}, {args.n - 1}]")
-        return None, {"r": args.r, "n": args.n,
-                      "sizes": "+".join(map(str, sizes)) or "none"}
-    raise ValueError(f"unknown family {family!r}")
 
 
 def cmd_verify(args) -> int:
@@ -138,7 +115,11 @@ def cmd_verify(args) -> int:
                      f"{defaults[key]}; pass --i-know-this-is-slow to override")
                 return 2
             bounds[key] = value
-    report = campaigns.run_campaign_report(args.campaign, bounds, jobs=args.jobs)
+    try:
+        report = campaigns.run_campaign_report(args.campaign, bounds, jobs=args.jobs)
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
     if args.csv:
         _write_csv(args.csv, report.rows)
     print(f"campaign: {report.campaign}")
@@ -214,25 +195,31 @@ def cmd_oracle(args) -> int:
     try:
         if args.t is None or args.t < 0:
             raise ValueError("need a dilation --t >= 0")
+        if args.family == "paving":
+            cuts = [_parse_hyperplane(spec) for spec in (args.hyperplane or [])]
+            # the paving validator checks the sizes of the explicit hyperplanes
+            args.hyperplane_sizes = [len(h) for h in cuts]
+        _family_call(args.family, args)
         if args.family == "panhandle":
-            _need(args, "r", "s", "n")
-            ehrhart.validate_panhandle(args.r, args.s, args.n)
             value = oracle.count_points_panhandle(args.r, args.s, args.n, args.t)
         elif args.family == "hypersimplex":
-            _need(args, "r", "n")
             value = oracle.count_points_panhandle(args.r, args.n - 1, args.n, args.t)
-        elif args.family == "paving":
-            _need(args, "r", "n")
-            cuts = [frozenset(int(x) for x in spec.split(","))
-                    for spec in (args.hyperplane or [])]
-            value = oracle.count_points_paving(args.r, args.n, cuts, args.t)
         else:
-            raise ValueError(f"unknown family {args.family!r}")
+            value = oracle.count_points_paving(args.r, args.n, cuts, args.t)
     except ValueError as exc:
         _err(str(exc))
         return 2
     print(value)
     return 0
+
+
+def _parse_hyperplane(spec: str) -> frozenset[int]:
+    """Elements of a comma-separated hyperplane; repeating one is an error."""
+    elements = [int(x) for x in spec.split(",")]
+    for idx, x in enumerate(elements):
+        if x in elements[:idx]:
+            raise ValueError(f"hyperplane {spec} repeats element {x}")
+    return frozenset(elements)
 
 
 def cmd_cache(args) -> int:

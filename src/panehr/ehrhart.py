@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmath import ONE, Polynomial, binom_poly, binomial, pi_range, poly_leq
+from .exactmath import ONE, ZERO, Polynomial, binom_poly, binomial, poly_leq
+from .forests import upper_term_formula
 
 
 def validate_panhandle(r: int, s: int, n: int) -> None:
@@ -33,13 +34,23 @@ def validate_panhandle(r: int, s: int, n: int) -> None:
         raise ValueError(f"width must satisfy s <= n-1, got s={s}, n={n}")
 
 
-@lru_cache(maxsize=None)
-def phi_poly(r: int, s: int, n: int) -> Polynomial:
-    """The positive factor of the panhandle Ehrhart polynomial.
+def validate_rank(r: int, n: int) -> None:
+    """Raise ValueError unless 1 <= r <= n-1 (a rank with more than one basis)."""
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"need 1 <= r <= n-1, got r={r}, n={n}")
 
-    Double sum over i = 0..s-r and positions ell = 0..s-1 of factorial
-    weights times two binomial polynomials in t; degree at most s-1.
-    """
+
+def validate_paving(r: int, n: int, hyperplane_sizes: Sequence[int]) -> None:
+    """Raise ValueError unless 1 <= r <= n-1 and every size lies in [r, n-1]."""
+    validate_rank(r, n)
+    for size in hyperplane_sizes:
+        if not r <= size <= n - 1:
+            raise ValueError(f"hyperplane size {size} outside [{r}, {n - 1}]")
+
+
+def _factor_poly(r: int, s: int, n: int, shift: int) -> Polynomial:
+    """Double sum behind phi_poly (shift 0) and psi_poly (shift 1, which
+    lowers the first binomial argument by one)."""
     validate_panhandle(r, s, n)
     total = Polynomial()
     for i in range(s - r + 1):
@@ -47,10 +58,21 @@ def phi_poly(r: int, s: int, n: int) -> Polynomial:
         inner = Polynomial()
         for ell in range(s):
             w = math.factorial(n - 2 - ell) * math.factorial(ell)
-            first = binom_poly(s - r - i + 1, s - 1 - ell - i, s - 1 - ell)
+            first = binom_poly(s - r - i + 1, s - 1 - shift - ell - i, s - 1 - ell)
             second = binom_poly(s - r - i, s - 1 - i, ell)
             inner = inner + (w * first) * second
         total = total + sign * inner
+    return total
+
+
+@lru_cache(maxsize=None)
+def phi_poly(r: int, s: int, n: int) -> Polynomial:
+    """The positive factor of the panhandle Ehrhart polynomial.
+
+    Double sum over i = 0..s-r and positions ell = 0..s-1 of factorial
+    weights times two binomial polynomials in t; degree at most s-1.
+    """
+    total = _factor_poly(r, s, n, 0)
     assert total.degree <= n - 2
     return total
 
@@ -59,18 +81,7 @@ def phi_poly(r: int, s: int, n: int) -> Polynomial:
 def psi_poly(r: int, s: int, n: int) -> Polynomial:
     """The relaxation-correction factor; phi_poly with the first binomial
     argument lowered by one."""
-    validate_panhandle(r, s, n)
-    total = Polynomial()
-    for i in range(s - r + 1):
-        sign = (-1) ** i * binomial(s, i)
-        inner = Polynomial()
-        for ell in range(s):
-            w = math.factorial(n - 2 - ell) * math.factorial(ell)
-            first = binom_poly(s - r - i + 1, s - 2 - ell - i, s - 1 - ell)
-            second = binom_poly(s - r - i, s - 1 - i, ell)
-            inner = inner + (w * first) * second
-        total = total + sign * inner
-    return total
+    return _factor_poly(r, s, n, 1)
 
 
 @lru_cache(maxsize=None)
@@ -104,8 +115,7 @@ def ehr_hypersimplex(r: int, n: int) -> Polynomial:
     coordinates sum to r*t, by inclusion-exclusion on coordinates
     exceeding t.  Requires 1 <= r <= n-1.
     """
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"hypersimplex needs 1 <= r <= n-1, got r={r}, n={n}")
+    validate_rank(r, n)
     poly = _hypersimplex(r, n)
     assert poly.degree == n - 1 and poly.coefficient(0) == 1
     return poly
@@ -139,12 +149,7 @@ def ehr_paving(r: int, n: int, hyperplane_sizes: Sequence[int]) -> Polynomial:
     hypersimplex itself.  Whether the multiset comes from an actual
     paving matroid is the caller's responsibility.
     """
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"need 1 <= r <= n-1, got r={r}, n={n}")
-    for size in hyperplane_sizes:
-        if not r <= size <= n - 1:
-            raise ValueError(
-                f"hyperplane size {size} outside [{r}, {n - 1}]")
+    validate_paving(r, n, hyperplane_sizes)
     poly = _hypersimplex(r, n)
     for size in hyperplane_sizes:
         poly = poly - relaxation_correction(r, size, n)
@@ -159,18 +164,11 @@ def upper_expression(q: int, s: int, k: int, ell: int, m: int) -> int:
         raise ValueError(
             f"need k >= 1, 1 <= m <= k, q >= 0, 0 <= ell <= s-1, "
             f"got q={q}, s={s}, k={k}, ell={ell}, m={m}")
-    total = 0
-    for i in range(q + 1):
-        total += ((-1) ** i * binomial(s, i)
-                  * pi_range(-i, s - ell - 2 - i, s - ell - m)
-                  * pi_range(s - ell - i, s - 1 - i, ell - (k - m))
-                  * binomial(k - 1 + q - i, k - 1))
-    return total
+    return sum(upper_term_formula(q, s, k, ell, m, i) for i in range(q + 1))
 
 
 def check_relaxation_positivity(r: int, s: int, n: int) -> bool:
     """True iff the relaxation correction binomial times psi has only
     nonnegative coefficients, so relaxing preserves Ehrhart positivity."""
-    validate_panhandle(r, s, n)
-    correction = binom_poly(1, n - s - 1, n - s) * psi_poly(r, s, n)
-    return poly_leq(Polynomial(), correction)
+    # the prefactor (n-s)/(n-1)! of the correction is positive
+    return poly_leq(ZERO, relaxation_correction(r, s, n))

@@ -176,6 +176,38 @@ def enumerate_cf_refined(q: int, s: int, k: int, ell: int, m: int) -> int:
     return len(enumerate_cf(q, s, k, ell, m))
 
 
+def gamma_vector(blocks: Forest) -> tuple[int, ...]:
+    """gamma(blocks, ell) at every position ell of the flattened forest.
+
+    Every position inside the j-th block (0-based) has exactly the
+    trailers of blocks j..k-1 after it, so gamma there is k - j.
+    """
+    gvec: list[int] = []
+    after = len(blocks)
+    for b in blocks:
+        gvec += [after] * len(b)
+        after -= 1
+    return tuple(gvec)
+
+
+def tally_gamma(census: dict, head: tuple, blocks: Forest,
+                weight: int = 1, leader_split: bool = False) -> tuple[int, ...]:
+    """Add weight to census[head + (k, ell, m)] at every position ell, where
+    k is the block count and m = gamma(blocks, ell); returns the gamma vector.
+
+    With leader_split, only positions where the leader of the (k-m+2)-th
+    block sits at ell+2 are counted (the leader-1 censuses).
+    """
+    k = len(blocks)
+    gvec = gamma_vector(blocks)
+    for ell, m in enumerate(gvec):
+        if leader_split and not _leader_position_ok(blocks, k, m, ell):
+            continue
+        key = head + (k, ell, m)
+        census[key] = census.get(key, 0) + weight
+    return gvec
+
+
 @lru_cache(maxsize=None)
 def cf_census(s: int) -> tuple[dict, dict]:
     """One pass over all naturally ordered forests of [s].
@@ -190,11 +222,7 @@ def cf_census(s: int) -> tuple[dict, dict]:
         q = forest_weight(f)
         k = len(f)
         totals[q, k] = totals.get((q, k), 0) + 1
-        ends = block_ends(f)
-        for ell in range(s):
-            m = sum(1 for e in ends if e > ell)
-            key = (q, k, ell, m)
-            refined[key] = refined.get(key, 0) + 1
+        tally_gamma(refined, (q,), f)
     return totals, refined
 
 
@@ -202,17 +230,22 @@ def cf_census(s: int) -> tuple[dict, dict]:
 # closed-form counts
 
 
+def _summand(q: int, s: int, k: int, ell: int, m: int, i: int, shift: int) -> int:
+    """The i-th summand of the refined closed form, signs included; shift
+    lowers both ends of the first product range (1 for the upper bound)."""
+    return ((-1) ** i * binomial(s, i)
+            * pi_range(-i + 1 - shift, s - 1 - ell - i - shift, s - ell - m)
+            * pi_range(s - ell - i, s - 1 - i, ell - (k - m))
+            * binomial(k - 1 + q - i, k - 1))
+
+
 def cf_count_formula(q: int, s: int, k: int) -> int:
     """Closed form for |CF(q, s, k)|: an alternating binomial and
     symmetric-sum expression over i = 0..q."""
     if q < 0 or not 1 <= k <= s:
         raise ValueError(f"need q >= 0 and 1 <= k <= s, got q={q}, k={k}, s={s}")
-    total = 0
-    for i in range(q + 1):
-        total += ((-1) ** i * binomial(s, i)
-                  * pi_range(-i + 1, s - 1 - i, s - k)
-                  * binomial(k - 1 + q - i, k - 1))
-    return total
+    # every forest of [s] has exactly one trailer after position s-1
+    return cf_refined_formula(q, s, k, s - 1, 1)
 
 
 def cf_refined_formula(q: int, s: int, k: int, ell: int, m: int) -> int:
@@ -221,29 +254,17 @@ def cf_refined_formula(q: int, s: int, k: int, ell: int, m: int) -> int:
         raise ValueError(
             f"need q >= 0, 1 <= m <= k <= s, 0 <= ell <= s-1, "
             f"got q={q}, s={s}, k={k}, ell={ell}, m={m}")
-    total = 0
-    for i in range(q + 1):
-        total += ((-1) ** i * binomial(s, i)
-                  * pi_range(-i + 1, s - 1 - ell - i, s - ell - m)
-                  * pi_range(s - ell - i, s - 1 - i, ell - (k - m))
-                  * binomial(k - 1 + q - i, k - 1))
-    return total
+    return sum(_summand(q, s, k, ell, m, i, 0) for i in range(q + 1))
 
 
 def dcf_term_formula(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
     """The i-th summand of the refined closed form, signs included."""
-    return ((-1) ** i * binomial(s, i)
-            * pi_range(-i + 1, s - 1 - ell - i, s - ell - m)
-            * pi_range(s - ell - i, s - 1 - i, ell - (k - m))
-            * binomial(k - 1 + q - i, k - 1))
+    return _summand(q, s, k, ell, m, i, 0)
 
 
 def upper_term_formula(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
     """The i-th summand of the shifted (upper bound) expression."""
-    return ((-1) ** i * binomial(s, i)
-            * pi_range(-i, s - ell - 2 - i, s - ell - m)
-            * pi_range(s - ell - i, s - 1 - i, ell - (k - m))
-            * binomial(k - 1 + q - i, k - 1))
+    return _summand(q, s, k, ell, m, i, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +424,8 @@ def dcf_signed_census(q: int, s: int) -> dict:
     """dict (i, k, ell, m) -> signed count over all of DCF(q, s)."""
     agg: dict = {}
     for d in _dcf_iter(q, s):
-        p = distinguished_block_count(d)
-        sign = -1 if p % 2 else 1
-        i, k = len(d.aset), len(d.blocks)
-        ends = block_ends(d.blocks)
-        for ell in range(s):
-            m = sum(1 for e in ends if e > ell)
-            key = (i, k, ell, m)
-            agg[key] = agg.get(key, 0) + sign
+        sign = -1 if distinguished_block_count(d) % 2 else 1
+        tally_gamma(agg, (len(d.aset),), d.blocks, sign)
     return agg
 
 
@@ -481,17 +496,8 @@ def cf1_census(u: int) -> dict:
     """dict (q, k, ell, m) -> count of the leader-1 forests of [u]."""
     census: dict = {}
     for f in _cf1_forests(u):
-        k = len(f)
         q = sum(block_weight(b) for b in f[:-1]) + len(f[-1])
-        ends = block_ends(f)
-        for ell in range(u):
-            m = sum(1 for e in ends if e > ell)
-            if m < 2:
-                continue
-            if not _leader_position_ok(f, k, m, ell):
-                continue
-            key = (q, k, ell, m)
-            census[key] = census.get(key, 0) + 1
+        tally_gamma(census, (q,), f, leader_split=True)
     return census
 
 
@@ -540,16 +546,8 @@ def dcf1_signed_census(q: int, s: int) -> dict:
     for d in _dcf_iter(q, s, need_one=True):
         if d.values[_block_of_one(d.blocks)] != 0:
             continue
-        p = distinguished_block_count(d)
-        sign = -1 if (p - 1) % 2 else 1
-        i, k = len(d.aset), len(d.blocks)
-        ends = block_ends(d.blocks)
-        for ell in range(s):
-            m = sum(1 for e in ends if e > ell)
-            if not _leader_position_ok(d.blocks, k, m, ell):
-                continue
-            key = (i, k, ell, m)
-            agg[key] = agg.get(key, 0) + sign
+        sign = -1 if (distinguished_block_count(d) - 1) % 2 else 1
+        tally_gamma(agg, (len(d.aset),), d.blocks, sign, leader_split=True)
     return agg
 
 

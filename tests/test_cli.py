@@ -70,10 +70,16 @@ class TestCache:
         run(capsys, *self.ARGS, "--cache-dir", str(tmp_path), "--no-cache")
         assert list(tmp_path.glob("*.json")) == []
 
-    def test_corrupt_entry_recomputed(self, capsys, tmp_path):
+    @pytest.mark.parametrize("mangle", [
+        lambda payload: "{not json",
+        lambda payload: json.dumps({**payload, "coefficients": ["x/y"]}),
+        lambda payload: json.dumps({**payload, "coefficients": ["1/0"]}),
+        lambda payload: "[]",
+    ], ids=["not-json", "unparsable", "zero-denominator", "not-object"])
+    def test_corrupt_entry_recomputed(self, capsys, tmp_path, mangle):
         code, first, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
         entry = next(tmp_path.glob("*.json"))
-        entry.write_text("{not json")
+        entry.write_text(mangle(json.loads(entry.read_text())))
         code, second, err = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
         assert code == 0 and first == second
         assert "corrupt" in err
@@ -158,6 +164,17 @@ class TestVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("campaign, flag, value", [
+        ("phi", "--max-s", "-1"),
+        ("phi", "--max-s", "0"),
+        ("identity-main", "--max-q", "-3"),
+    ])
+    def test_empty_or_negative_bounds_exit_two(self, capsys, campaign, flag, value):
+        code, out, err = run(capsys, "verify", campaign, flag, value, "--no-color")
+        assert code == 2
+        assert "panehr: error:" in err
+        assert "result: PASS" not in out
+
     def test_failure_exits_one_and_echoes_tuple(self, capsys, monkeypatch):
         from panehr import campaigns
 
@@ -180,6 +197,25 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "count", "paving", "--r", "2",
                            "--n", "4", "--hyperplane", "1,2", "--t", "1")
         assert code == 0 and out.strip() == "5"
+
+    @pytest.mark.parametrize("r", ["5", "0"])
+    def test_hypersimplex_rank_checked_like_compute(self, capsys, tmp_path, r):
+        code, out, err = run(capsys, "oracle", "count", "hypersimplex", "--r", r,
+                             "--n", "4", "--t", "2")
+        assert code == 2 and out == ""
+        ccode, _, cerr = run(capsys, "compute", "hypersimplex", "--r", r, "--n", "4",
+                             "--cache-dir", str(tmp_path))
+        assert ccode == 2 and err == cerr and "1 <= r <= n-1" in err
+
+    @pytest.mark.parametrize("r, hyperplane, message", [
+        ("2", "1,1,2", "repeats element 1"),
+        ("3", "1,2", "hyperplane size 2 outside [3, 3]"),
+    ])
+    def test_bad_hyperplane_exit_two(self, capsys, r, hyperplane, message):
+        code, out, err = run(capsys, "oracle", "count", "paving", "--r", r,
+                             "--n", "4", "--hyperplane", hyperplane, "--t", "2")
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_missing_dilation(self, capsys):
         code, _, err = run(capsys, "oracle", "count", "panhandle", "--r", "1",

@@ -67,6 +67,11 @@ class TestGamma:
                 assert values[0] == len(f)
                 assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_vector_matches_every_position(self):
+        for s in range(1, 6):
+            for f in all_ordered_chain_forests(range(1, s + 1)):
+                assert forests.gamma_vector(f) == tuple(gamma(f, ell) for ell in range(s))
+
 
 class TestEnumerateCF:
     def test_singleton(self):
