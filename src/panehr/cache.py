@@ -57,8 +57,11 @@ def load(cache_dir: Path, family: str, params: dict) -> Optional[list[str]]:
         coeffs = payload["coefficients"]
         if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
             raise ValueError("bad coefficient payload")
-        for c in coeffs:
-            Fraction(c)  # a coefficient that does not parse raises here
+        parsed = [Fraction(c) for c in coeffs]  # raises if one does not parse
+        # no family yields the zero polynomial, and poly_to_json writes no
+        # trailing zero
+        if not parsed or parsed[-1] == 0:
+            raise ValueError("no nonzero leading coefficient")
         return coeffs
     except (OSError, ValueError, KeyError, ZeroDivisionError) as exc:
         _warn(f"ignoring corrupt entry {path.name} ({exc})")

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import ehrhart, forests, oracle, processing
 from .exactmath import Polynomial, binomial, poly_leq
@@ -79,18 +79,24 @@ def units_by_sq(max_s: int, max_q: int) -> list[dict]:
             for q in range(max_q + 1)]
 
 
+def _classes(s: int) -> Iterator[tuple[int, int, int]]:
+    """Every class (k, ell, m) of the forests of [s]: 1 <= m <= k <= s and
+    0 <= ell <= s-1, in grid order."""
+    for k in range(1, s + 1):
+        for ell in range(s):
+            for m in range(1, k + 1):
+                yield k, ell, m
+
+
 def run_identity_main(s: int, max_q: int) -> list[Row]:
     _, refined = forests.cf_census(s)
     rows = []
     for q in range(max_q + 1):
-        for k in range(1, s + 1):
-            for ell in range(s):
-                for m in range(1, k + 1):
-                    counted = refined.get((q, k, ell, m), 0)
-                    formula = forests.cf_refined_formula(q, s, k, ell, m)
-                    rows.append(_row(
-                        {"s": s, "q": q, "k": k, "ell": ell, "m": m},
-                        counted, formula))
+        for k, ell, m in _classes(s):
+            counted = refined.get((q, k, ell, m), 0)
+            formula = forests.cf_refined_formula(q, s, k, ell, m)
+            rows.append(_row({"s": s, "q": q, "k": k, "ell": ell, "m": m},
+                             counted, formula))
     return rows
 
 
@@ -116,43 +122,30 @@ def run_identity_upper(s: int, max_q: int) -> list[Row]:
     census = forests.cf1_census(s + 1)
     rows = []
     for q in range(max_q + 1):
-        for k in range(1, s + 1):
-            for ell in range(s):
-                for m in range(1, k + 1):
-                    counted = census.get((q + 1, k + 1, ell, m + 1), 0)
-                    formula = ehrhart.upper_expression(q, s, k, ell, m)
-                    params = {"s": s, "q": q, "k": k, "ell": ell, "m": m}
-                    rows.append(_row(params, counted, formula))
-                    rows.append(_bool_row(
-                        {**params, "check": "nonnegative"},
-                        formula >= 0, ">=0", str(formula)))
+        for k, ell, m in _classes(s):
+            counted = census.get((q + 1, k + 1, ell, m + 1), 0)
+            formula = ehrhart.upper_expression(q, s, k, ell, m)
+            params = {"s": s, "q": q, "k": k, "ell": ell, "m": m}
+            rows.append(_row(params, counted, formula))
+            rows.append(_bool_row({**params, "check": "nonnegative"},
+                                  formula >= 0, ">=0", str(formula)))
     return rows
 
 
 def run_per_term(s: int, q: int) -> list[Row]:
     rows = []
-    census = forests.dcf_signed_census(q, s)
-    for k in range(1, s + 1):
-        for ell in range(s):
-            for m in range(1, k + 1):
-                for i in range(q + 1):
-                    counted = census.get((i, k, ell, m), 0)
-                    formula = forests.dcf_term_formula(q, s, k, ell, m, i)
-                    rows.append(_row(
-                        {"s": s, "q": q, "k": k, "ell": ell, "m": m, "i": i,
-                         "side": "plain"},
-                        counted, formula))
-    census1 = forests.dcf1_signed_census(q + 1, s + 1)
-    for k in range(1, s + 1):
-        for ell in range(s):
-            for m in range(1, k + 1):
-                for i in range(q + 1):
-                    counted = census1.get((i + 1, k + 1, ell, m + 1), 0)
-                    formula = forests.upper_term_formula(q, s, k, ell, m, i)
-                    rows.append(_row(
-                        {"s": s, "q": q, "k": k, "ell": ell, "m": m, "i": i,
-                         "side": "leader1"},
-                        counted, formula))
+    # the leader-1 census of [s+1] keys each class one step up in i, k and m
+    for side, census, up, term in (
+            ("plain", forests.dcf_signed_census(q, s), 0, forests.dcf_term_formula),
+            ("leader1", forests.dcf1_signed_census(q + 1, s + 1), 1,
+             forests.upper_term_formula)):
+        for k, ell, m in _classes(s):
+            for i in range(q + 1):
+                counted = census.get((i + up, k + up, ell, m + up), 0)
+                formula = term(q, s, k, ell, m, i)
+                rows.append(_row(
+                    {"s": s, "q": q, "k": k, "ell": ell, "m": m, "i": i, "side": side},
+                    counted, formula))
     return rows
 
 
@@ -180,12 +173,11 @@ def run_phi(s: int, q: int) -> list[Row]:
             problems.append(f"length sequence changed: {forests.format_distinguished(d)}")
         if img.aset != d.aset:
             problems.append(f"A changed: {forests.format_distinguished(d)}")
-        verdict = processing.image_check(img, q)
-        if not verdict:
-            problems.append(
-                f"image rejected: {forests.format_distinguished(img)}: {verdict.reason}")
+        try:
+            back = processing.phi_inverse(img, q)
+        except ValueError as exc:
+            problems.append(f"image rejected: {forests.format_distinguished(img)}: {exc}")
             continue
-        back = processing.phi_inverse(img, q)
         if back != d:
             problems.append(f"round trip failed: {forests.format_distinguished(d)}")
     rows.append(_bool_row({"s": s, "q": q, "check": "bijection"},
@@ -200,6 +192,17 @@ def run_phi(s: int, q: int) -> list[Row]:
                           f"{len(candidates)} accepted candidates all hit",
                           f"{len(images)} images, diff {len(mismatch)} {sample}"))
     return rows
+
+
+def _first_mismatch(s: int, lhs: Callable, rhs: Callable) -> str:
+    """The first class (k, ell, m) of [s] where the two tallies differ,
+    described; empty when they agree on every class."""
+    for cls in _classes(s):
+        left, right = lhs(cls), rhs(cls)
+        if left != right:
+            k, ell, m = cls
+            return f"class k={k} ell={ell} m={m}: {left} != {right}"
+    return ""
 
 
 def run_involution(s: int, q: int) -> list[Row]:
@@ -252,33 +255,17 @@ def run_involution(s: int, q: int) -> list[Row]:
     rows.append(_bool_row({"s": s, "q": q, "check": "cancellation"},
                           balance_ok, "per-class |minus| == |plus|",
                           detail or "balanced"))
-    plain_ok = True
-    detail = ""
-    for k in range(1, s + 1):
-        for ell in range(s):
-            for m in range(1, k + 1):
-                lhs = plain_count.get((k, ell, m), 0)
-                rhs = refined.get((q, k, ell, m), 0)
-                if lhs != rhs and plain_ok:
-                    plain_ok = False
-                    detail = f"class k={k} ell={ell} m={m}: {lhs} != {rhs}"
+    detail = _first_mismatch(s, lambda c: plain_count.get(c, 0),
+                             lambda c: refined.get((q, *c), 0))
     rows.append(_bool_row({"s": s, "q": q, "check": "plain-residue"},
-                          plain_ok, "plain representatives count the forests",
+                          not detail, "plain representatives count the forests",
                           detail or "matched"))
     signed = forests.dcf_signed_census(q, s)
-    collapse_ok = True
-    detail = ""
-    for k in range(1, s + 1):
-        for ell in range(s):
-            for m in range(1, k + 1):
-                alternating = sum(signed.get((i, k, ell, m), 0)
-                                  for i in range(q + 1))
-                honest = refined.get((q, k, ell, m), 0)
-                if alternating != honest and collapse_ok:
-                    collapse_ok = False
-                    detail = f"class k={k} ell={ell} m={m}: {alternating} != {honest}"
+    detail = _first_mismatch(
+        s, lambda c: sum(signed.get((i, *c), 0) for i in range(q + 1)),
+        lambda c: refined.get((q, *c), 0))
     rows.append(_bool_row({"s": s, "q": q, "check": "alternating-sum"},
-                          collapse_ok,
+                          not detail,
                           "signed sums collapse onto the forest count",
                           detail or "collapsed"))
     return rows

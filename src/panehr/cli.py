@@ -116,12 +116,21 @@ def cmd_verify(args) -> int:
                 return 2
             bounds[key] = value
     try:
+        # opened before the run, so an unwritable path fails in no time
+        csv_file = open(args.csv, "w", newline="") if args.csv else None
+    except OSError as exc:
+        _err(f"cannot write the --csv file: {exc}")
+        return 2
+    try:
         report = campaigns.run_campaign_report(args.campaign, bounds, jobs=args.jobs)
+        if csv_file:
+            _write_csv(csv_file, report.rows)
     except ValueError as exc:
         _err(str(exc))
         return 2
-    if args.csv:
-        _write_csv(args.csv, report.rows)
+    finally:
+        if csv_file:
+            csv_file.close()
     print(f"campaign: {report.campaign}")
     print("bounds: " + " ".join(f"{k}={v}" for k, v in report.bounds))
     print(f"tuples: {len(report.rows)}")
@@ -135,19 +144,18 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _write_csv(path: Path, rows) -> None:
+def _write_csv(handle, rows) -> None:
     columns: list[str] = []
     for row in rows:
         for key, _ in row.params:
             if key not in columns:
                 columns.append(key)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns + ["expected", "actual", "ok"])
-        for row in rows:
-            record = dict(row.params)
-            writer.writerow([record.get(c, "") for c in columns]
-                            + [row.expected, row.actual, "ok" if row.ok else "FAIL"])
+    writer = csv.writer(handle)
+    writer.writerow(columns + ["expected", "actual", "ok"])
+    for row in rows:
+        record = dict(row.params)
+        writer.writerow([record.get(c, "") for c in columns]
+                        + [row.expected, row.actual, "ok" if row.ok else "FAIL"])
 
 
 def cmd_enumerate(args) -> int:

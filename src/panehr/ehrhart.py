@@ -73,7 +73,8 @@ def phi_poly(r: int, s: int, n: int) -> Polynomial:
     weights times two binomial polynomials in t; degree at most s-1.
     """
     total = _factor_poly(r, s, n, 0)
-    assert total.degree <= n - 2
+    if total.degree > n - 2:
+        raise AssertionError("phi_poly has degree above n-2")
     return total
 
 
@@ -90,8 +91,10 @@ def ehr_panhandle(r: int, s: int, n: int) -> Polynomial:
     validate_panhandle(r, s, n)
     prefactor = Fraction(n - s, math.factorial(n - 1))
     poly = prefactor * binom_poly(1, n - s, n - s) * phi_poly(r, s, n)
-    assert poly.degree == n - 1, "panhandle Ehrhart polynomial has wrong degree"
-    assert poly.coefficient(0) == 1, "constant term must be 1"
+    if poly.degree != n - 1:
+        raise AssertionError("panhandle Ehrhart polynomial has wrong degree")
+    if poly.coefficient(0) != 1:
+        raise AssertionError("constant term must be 1")
     return poly
 
 
@@ -117,7 +120,9 @@ def ehr_hypersimplex(r: int, n: int) -> Polynomial:
     """
     validate_rank(r, n)
     poly = _hypersimplex(r, n)
-    assert poly.degree == n - 1 and poly.coefficient(0) == 1
+    if poly.degree != n - 1 or poly.coefficient(0) != 1:
+        raise AssertionError("hypersimplex Ehrhart polynomial has wrong degree "
+                             "or constant term")
     return poly
 
 
@@ -153,7 +158,8 @@ def ehr_paving(r: int, n: int, hyperplane_sizes: Sequence[int]) -> Polynomial:
     poly = _hypersimplex(r, n)
     for size in hyperplane_sizes:
         poly = poly - relaxation_correction(r, size, n)
-    assert poly.coefficient(0) == 1
+    if poly.coefficient(0) != 1:
+        raise AssertionError("constant term must be 1")
     return poly
 
 

@@ -316,6 +316,35 @@ def distinguished_block_count(d: Distinguished) -> int:
     return sum(1 for b in d.blocks if b[0] in d.aset)
 
 
+def _is_min_led(block: Block) -> bool:
+    return block[0] == min(block)
+
+
+def _a_split(d: Distinguished) -> tuple[int, Optional[str]]:
+    """Index of the first A block (len(d.blocks) if none) and the first
+    violated property, or None: blocks wholly in or out of A, non-A blocks
+    first, A blocks covering A, min-led and decreasing by leader."""
+    blocks, _, aset = d
+    split = len(blocks)
+    for idx, b in enumerate(blocks):
+        if aset.isdisjoint(b):
+            if idx > split:
+                return split, "non-A block after an A block"
+        elif aset.issuperset(b):
+            split = min(split, idx)
+        else:
+            return split, f"block {b} mixes A and non-A elements"
+    cpart = blocks[split:]
+    if set(flatten(cpart)) != set(aset):
+        return split, "A blocks do not cover A exactly"
+    for b in cpart:
+        if not _is_min_led(b):
+            return split, f"A block {b} leader is not its minimum"
+    if any(cpart[i][0] < cpart[i + 1][0] for i in range(len(cpart) - 1)):
+        return split, "A blocks are not decreasing by leader"
+    return split, None
+
+
 def check_distinguished(d: Distinguished) -> None:
     """Validate the structural invariants of an A-distinguished forest.
 
@@ -324,7 +353,7 @@ def check_distinguished(d: Distinguished) -> None:
     order, every block must have weight 0, and there must be one value per
     block.  Raises ValueError naming the violated property.
     """
-    blocks, values, aset = d
+    blocks, values, _ = d
     if len(values) != len(blocks):
         raise ValueError("one value per block required")
     if any(v < 0 for v in values):
@@ -332,31 +361,15 @@ def check_distinguished(d: Distinguished) -> None:
     seen = flatten(blocks)
     if len(set(seen)) != len(seen) or any(len(b) == 0 for b in blocks):
         raise ValueError("blocks must be nonempty and disjoint")
-    split = None
-    for idx, b in enumerate(blocks):
-        inside = [x in aset for x in b]
-        if any(inside) and not all(inside):
-            raise ValueError(f"block {b} mixes A and non-A elements")
-        if all(inside) and b:
-            if split is None:
-                split = idx
-        elif split is not None:
-            raise ValueError("non-A block appears after an A block")
-    if split is None:
-        split = len(blocks)
-    ground = set(flatten(blocks))
-    if not aset <= ground:
-        raise ValueError("A is not a subset of the ground set")
-    bpart, cpart = blocks[:split], blocks[split:]
-    if set(x for b in cpart for x in b) != set(aset):
-        raise ValueError("A blocks do not cover A exactly")
-    for b in blocks:
+    split, violation = _a_split(d)
+    if violation:
+        raise ValueError(violation)
+    bpart = blocks[:split]
+    for b in bpart:
         if block_weight(b) != 0:
             raise ValueError(f"block {b} has nonzero weight")
     if not is_naturally_ordered(bpart):
         raise ValueError("non-A blocks are not increasing by leader")
-    if any(cpart[i][0] < cpart[i + 1][0] for i in range(len(cpart) - 1)):
-        raise ValueError("A blocks are not decreasing by leader")
 
 
 def _dcf_iter(q: int, s: int, need_one: bool = False) -> Iterator[Distinguished]:
@@ -501,13 +514,6 @@ def cf1_census(u: int) -> dict:
     return census
 
 
-def _block_of_one(blocks: Forest) -> int:
-    for idx, b in enumerate(blocks):
-        if 1 in b:
-            return idx
-    raise ValueError("element 1 missing")
-
-
 def enumerate_dcf1(q: int, s: int, k: int, ell: int, m: int,
                    size_a: Optional[int] = None) -> list[Distinguished]:
     """The distinguished analogue of enumerate_cf1.
@@ -526,7 +532,7 @@ def enumerate_dcf1(q: int, s: int, k: int, ell: int, m: int,
             continue
         if not _leader_position_ok(d.blocks, k, m, ell):
             continue
-        if d.values[_block_of_one(d.blocks)] != 0:
+        if d.values[-1] != 0:  # 1 is in A, so it leads the last block
             continue
         out.append(d)
     out.sort(key=_dcf_sort_key)
@@ -544,7 +550,7 @@ def dcf1_signed_census(q: int, s: int) -> dict:
     """dict (i, k, ell, m) -> signed count for the leader-1 restriction."""
     agg: dict = {}
     for d in _dcf_iter(q, s, need_one=True):
-        if d.values[_block_of_one(d.blocks)] != 0:
+        if d.values[-1] != 0:  # 1 is in A, so it leads the last block
             continue
         sign = -1 if (distinguished_block_count(d) - 1) % 2 else 1
         tally_gamma(agg, (len(d.aset),), d.blocks, sign, leader_split=True)

@@ -20,18 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple, Optional
+from typing import Collection, Iterator, NamedTuple, Optional
 
 from .forests import (
-    Block,
     Distinguished,
     Forest,
     Valued,
+    _a_split,
+    _is_min_led,
+    _leader_position_ok,
     all_ordered_chain_forests,
-    block_ends,
     block_weight,
     check_distinguished,
     compositions,
+    distinguished_block_count,
     flatten,
     format_valued,
     gamma,
@@ -61,26 +63,45 @@ def initial_state(valued: Valued) -> AlgorithmState:
     return AlgorithmState(valued.blocks, valued.values, frozenset(), tuple(elements))
 
 
-def _is_min_led(block: Block) -> bool:
-    return block[0] == min(block)
+def _order(blocks: Forest, processed: Collection[int]) -> tuple[int, ...]:
+    """The order L of a snapshot: unprocessed elements, then processed
+    ones, each in natural order."""
+    everything = sorted(flatten(blocks))
+    return tuple([e for e in everything if e not in processed]
+                 + [e for e in everything if e in processed])
+
+
+def _rotate_tail(state: AlgorithmState, target: int, step: int
+                 ) -> tuple[list[int], Forest]:
+    """Move every element of the blocks from target on by step places,
+    cyclically, along the order L; returns that tail sorted by L and the
+    new blocks."""
+    rank = {e: i for i, e in enumerate(state.order)}
+    tail = sorted((x for b in state.blocks[target:] for x in b), key=rank.get)
+    shift = {x: tail[(i + step) % len(tail)] for i, x in enumerate(tail)}
+    return tail, tuple(state.blocks[:target]) + tuple(
+        tuple(shift[x] for x in b) for b in state.blocks[target:])
 
 
 def _assert_step_invariants(state: AlgorithmState) -> None:
-    """Runtime checks that hold after every iteration of the algorithm."""
+    """Runtime checks that hold after every iteration of the algorithm;
+    they raise AssertionError and stay on under python -O."""
     rank = {e: i for i, e in enumerate(state.order)}
     leaders = [b[0] for b in state.blocks]
-    assert all(rank[leaders[i]] < rank[leaders[i + 1]] for i in range(len(leaders) - 1)), \
-        "blocks are not increasing by leader in the current order"
+    if not all(rank[leaders[i]] < rank[leaders[i + 1]] for i in range(len(leaders) - 1)):
+        raise AssertionError("blocks are not increasing by leader in the current order")
     for b in state.blocks:
-        assert min(b, key=rank.get) == b[0], \
-            "a block leader is not minimal in its block under the current order"
+        if min(b, key=rank.get) != b[0]:
+            raise AssertionError(
+                "a block leader is not minimal in its block under the current order")
     contributors = {x for b in state.blocks for x in b if x < b[0]}
-    assert contributors <= state.processed, \
-        "an unprocessed element contributes weight"
+    if not contributors <= state.processed:
+        raise AssertionError("an unprocessed element contributes weight")
     for p in state.processed:
         blk = next(b for b in state.blocks if p in b)
-        assert p < blk[0] or all(x in state.processed for x in blk), \
-            "a processed element neither contributes weight nor sits in an all-processed block"
+        if not (p < blk[0] or all(x in state.processed for x in blk)):
+            raise AssertionError("a processed element neither contributes weight "
+                                 "nor sits in an all-processed block")
 
 
 def process_step(state: AlgorithmState) -> Optional[AlgorithmState]:
@@ -97,20 +118,15 @@ def process_step(state: AlgorithmState) -> Optional[AlgorithmState]:
     if target is None:
         return None
     leader = state.blocks[target][0]
-    rank = {e: i for i, e in enumerate(state.order)}
-    tail = [x for b in state.blocks[target:] for x in b]
-    tail.sort(key=rank.get)
-    assert tail[0] == leader, "leader is not minimal among the shifted elements"
-    shift = {tail[i]: tail[(i + 1) % len(tail)] for i in range(len(tail))}
-    new_blocks = list(state.blocks[:target])
-    for b in state.blocks[target:]:
-        new_blocks.append(tuple(shift[x] for x in b))
+    tail, new_blocks = _rotate_tail(state, target, 1)
+    if tail[0] != leader:
+        raise AssertionError("leader is not minimal among the shifted elements")
     new_values = list(state.values)
     new_values[target] -= 1
     new_order = tuple(e for e in state.order if e != leader) + (leader,)
-    assert max(state.processed, default=0) < leader, \
-        "elements are not processed in increasing order"
-    new_state = AlgorithmState(tuple(new_blocks), tuple(new_values),
+    if max(state.processed, default=0) >= leader:
+        raise AssertionError("elements are not processed in increasing order")
+    new_state = AlgorithmState(new_blocks, tuple(new_values),
                                state.processed | {leader}, new_order)
     _assert_step_invariants(new_state)
     return new_state
@@ -127,19 +143,15 @@ def run_processing(valued: Valued, collect: bool = False
         if nxt is None:
             break
         state = nxt
-        assert len(state.processed) + sum(state.values) == budget, \
-            "processed count plus remaining values is not conserved"
+        if len(state.processed) + sum(state.values) != budget:
+            raise AssertionError("processed count plus remaining values is not conserved")
         if collect:
             trail.append(state)
     return Valued(state.blocks, state.values), trail
 
 
 def _split_parts(d: Distinguished) -> tuple[Valued, Valued]:
-    split = len(d.blocks)
-    for idx, b in enumerate(d.blocks):
-        if b[0] in d.aset:
-            split = idx
-            break
+    split, _ = _a_split(d)
     return (Valued(d.blocks[:split], d.values[:split]),
             Valued(d.blocks[split:], d.values[split:]))
 
@@ -155,8 +167,8 @@ def phi(d: Distinguished) -> Distinguished:
     out, _ = run_processing(nondist)
     result = Distinguished(out.blocks + dist.blocks,
                            out.values + dist.values, d.aset)
-    assert tuple(map(len, result.blocks)) == tuple(map(len, d.blocks)), \
-        "block length sequence not preserved"
+    if tuple(map(len, result.blocks)) != tuple(map(len, d.blocks)):
+        raise AssertionError("block length sequence not preserved")
     return result
 
 
@@ -199,26 +211,23 @@ def reconstruct_state(valued: Valued, q1: int) -> AlgorithmState:
             break
     if j is None:
         raise ReverseError(f"no split index balances the budget {q1}")
+    processed = {x for b in blocks for x in b if x < b[0]}
     for b in blocks[r - j:]:
         if not _is_min_led(b):
             raise ReverseError("a trailing all-processed block has nonzero weight")
-    processed = {x for b in blocks for x in b if x < b[0]}
-    for b in blocks[r - j:]:
         processed.update(b)
     if j < r and blocks[r - j - 1] and set(blocks[r - j - 1]) <= processed:
         raise ReverseError("split index inconsistent with the processed set")
-    everything = sorted(flatten(blocks))
-    order = tuple(e for e in everything if e not in processed) + \
-        tuple(e for e in everything if e in processed)
-    return AlgorithmState(blocks, values, frozenset(processed), order)
+    return AlgorithmState(blocks, values, frozenset(processed),
+                          _order(blocks, processed))
 
 
 def reverse_step(state: AlgorithmState, q1: int) -> AlgorithmState:
     """Undo one iteration; inverse of process_step on genuine snapshots."""
     if not state.processed:
         raise ReverseError("nothing to reverse: no processed elements")
-    assert len(state.processed) + sum(state.values) == q1, \
-        "snapshot does not match the stated budget"
+    if len(state.processed) + sum(state.values) != q1:
+        raise ReverseError("snapshot does not match the stated budget")
     p = max(state.processed)
     target = None
     for idx, b in enumerate(state.blocks):
@@ -229,23 +238,14 @@ def reverse_step(state: AlgorithmState, q1: int) -> AlgorithmState:
             break
     if target is None:
         raise ReverseError("no block qualifies as the reversal site")
-    rank = {e: i for i, e in enumerate(state.order)}
-    tail = [x for b in state.blocks[target:] for x in b]
-    tail.sort(key=rank.get)
+    tail, new_blocks = _rotate_tail(state, target, -1)
     if tail[-1] != p:
         raise ReverseError("last processed element is not maximal in the tail")
-    shift = {tail[i]: tail[i - 1] for i in range(len(tail))}
-    new_blocks = list(state.blocks[:target])
-    for b in state.blocks[target:]:
-        new_blocks.append(tuple(shift[x] for x in b))
     new_values = list(state.values)
     new_values[target] += 1
-    processed = set(state.processed) - {p}
-    everything = sorted(flatten(state.blocks))
-    order = tuple(e for e in everything if e not in processed) + \
-        tuple(e for e in everything if e in processed)
-    return AlgorithmState(tuple(new_blocks), tuple(new_values),
-                          frozenset(processed), order)
+    processed = state.processed - {p}
+    return AlgorithmState(new_blocks, tuple(new_values), processed,
+                          _order(state.blocks, processed))
 
 
 def reverse_trace(valued: Valued, q1: int) -> list[str]:
@@ -294,25 +294,13 @@ def image_check(d: Distinguished, q: int, k: Optional[int] = None,
     """
     if (ell is None) != (m is None):
         raise ValueError("ell and m must be given together")
+    if upper and ell is None:
+        raise ValueError("upper image check needs ell and m")
     blocks, values, aset = d
-    split = len(blocks)
-    for idx, b in enumerate(blocks):
-        inside = [x in aset for x in b]
-        if any(inside) and not all(inside):
-            return _reject(f"condition 1: block {b} mixes A and non-A elements")
-        if all(inside) and b:
-            if idx < split:
-                split = idx
-        elif idx > split:
-            return _reject("condition 1: non-A block after an A block")
+    split, violation = _a_split(d)
+    if violation:
+        return _reject(f"condition 1: {violation}")
     bpart, cpart = blocks[:split], blocks[split:]
-    if set(x for b in cpart for x in b) != set(aset):
-        return _reject("condition 1: A blocks do not cover A exactly")
-    for b in cpart:
-        if not _is_min_led(b):
-            return _reject(f"condition 1: A block {b} leader is not its minimum")
-    if any(cpart[i][0] < cpart[i + 1][0] for i in range(len(cpart) - 1)):
-        return _reject("condition 1: A blocks not decreasing by leader")
 
     if upper:
         if not cpart or 1 not in cpart[-1]:
@@ -348,15 +336,8 @@ def image_check(d: Distinguished, q: int, k: Optional[int] = None,
         return _reject(f"condition 5: expected {k} blocks, found {len(blocks)}")
     if ell is not None and gamma(blocks, ell) != m:
         return _reject(f"condition 5: gamma at {ell} is {gamma(blocks, ell)}, expected {m}")
-    if upper:
-        kk = len(blocks)
-        mm = m if m is not None else (gamma(blocks, ell) if ell is not None else None)
-        if ell is None or mm is None:
-            raise ValueError("upper image check needs ell and m")
-        idx = kk - mm + 2
-        ends = (0,) + block_ends(blocks)
-        if not (1 <= idx <= kk and ends[idx - 1] + 1 == ell + 2):
-            return _reject("upper condition: block leader not at the required position")
+    if upper and not _leader_position_ok(blocks, len(blocks), m, ell):
+        return _reject("upper condition: block leader not at the required position")
     return CheckResult(True, j, None)
 
 
@@ -427,7 +408,7 @@ def enumerate_image_candidates(q: int, s: int) -> Iterator[Distinguished]:
 
 def negative_side(d: Distinguished) -> bool:
     """True when d carries sign -1, i.e. has an odd number of A blocks."""
-    return sum(1 for b in d.blocks if b[0] in d.aset) % 2 == 1
+    return distinguished_block_count(d) % 2 == 1
 
 
 def positive_side(d: Distinguished) -> bool:
@@ -442,7 +423,8 @@ def positive_side(d: Distinguished) -> bool:
         return True
     q = len(d.aset) + sum(d.values)
     verdict = image_check(phi(d), q)
-    assert verdict, "phi image failed its own membership test"
+    if not verdict:
+        raise AssertionError("phi image failed its own membership test")
     return verdict.j >= 1
 
 
@@ -460,9 +442,10 @@ def involution_f(d: Distinguished) -> Distinguished:
     q = len(d.aset) + sum(d.values)
     img = phi(d)
     verdict = image_check(img, q)
-    assert verdict, "phi image failed its own membership test"
+    if not verdict:
+        raise AssertionError("phi image failed its own membership test")
     blocks, values, aset = img
-    split = next(i for i, b in enumerate(blocks) if b[0] in aset)
+    split, _ = _a_split(img)
     bpart = blocks[:split]
     c_first = blocks[split]
     if verdict.j == 0 or (bpart and c_first[0] > bpart[-1][0]):
@@ -471,7 +454,6 @@ def involution_f(d: Distinguished) -> Distinguished:
         new_aset = aset | set(bpart[-1])
     moved = Distinguished(blocks, values, new_aset)
     result = phi_inverse(moved, q)
-    assert abs(sum(1 for b in result.blocks if b[0] in result.aset)
-               - sum(1 for b in d.blocks if b[0] in d.aset)) == 1, \
-        "distinguished part did not change by exactly one block"
+    if abs(distinguished_block_count(result) - distinguished_block_count(d)) != 1:
+        raise AssertionError("distinguished part did not change by exactly one block")
     return result

@@ -75,7 +75,11 @@ class TestCache:
         lambda payload: json.dumps({**payload, "coefficients": ["x/y"]}),
         lambda payload: json.dumps({**payload, "coefficients": ["1/0"]}),
         lambda payload: "[]",
-    ], ids=["not-json", "unparsable", "zero-denominator", "not-object"])
+        lambda payload: json.dumps({**payload, "coefficients": []}),
+        lambda payload: json.dumps({**payload,
+                                    "coefficients": payload["coefficients"] + ["0"]}),
+    ], ids=["not-json", "unparsable", "zero-denominator", "not-object", "empty",
+            "trailing-zero"])
     def test_corrupt_entry_recomputed(self, capsys, tmp_path, mangle):
         code, first, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
         entry = next(tmp_path.glob("*.json"))
@@ -147,6 +151,21 @@ class TestVerify:
         header = csv_path.read_text().splitlines()[0]
         assert header.endswith("expected,actual,ok")
         assert "elapsed" in err
+
+    def test_unwritable_csv_exits_two_before_running(self, capsys, tmp_path,
+                                                     monkeypatch):
+        from panehr import campaigns
+
+        def not_expected(*args, **kwargs):
+            raise RuntimeError("the campaign ran")
+
+        monkeypatch.setattr(campaigns, "run_campaign_report", not_expected)
+        code, out, err = run(capsys, "verify", "identity-lah", "--max-s", "2",
+                             "--max-q", "1", "--csv",
+                             str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert "panehr: error:" in err
+        assert out == ""
 
     def test_bound_guard(self, capsys):
         code, _, err = run(capsys, "verify", "identity-main", "--max-s", "9")

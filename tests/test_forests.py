@@ -157,6 +157,25 @@ class TestEnumerateDCF:
             forests.check_distinguished(d)
             assert len(d.aset) + sum(d.values) == 2
 
+    @pytest.mark.parametrize("blocks, values, aset, message", [
+        (((1,), (2,)), (0,), (), "one value per block"),
+        (((1,),), (-1,), (), "nonnegative"),
+        (((1,), ()), (0, 0), (), "nonempty and disjoint"),
+        (((1, 2), (2,)), (0, 0), (), "nonempty and disjoint"),
+        (((1, 2),), (0,), (2,), "mixes A and non-A"),
+        (((2,), (1,)), (0, 0), (2,), "non-A block after an A block"),
+        (((1,), (2,)), (0, 0), (2, 3), "do not cover A"),
+        (((2, 1), (3,)), (0, 0), (), "nonzero weight"),
+        (((3,), (2, 1)), (0, 0), (1, 2), "leader is not its minimum"),
+        (((2,), (1,)), (0, 0), (), "non-A blocks are not increasing"),
+        (((1,), (2,)), (0, 0), (1, 2), "A blocks are not decreasing"),
+    ], ids=["value-count", "negative-value", "empty-block", "repeated-element",
+            "mixed-block", "non-a-after-a", "a-not-covered", "nonzero-weight",
+            "a-block-weight", "non-a-leaders", "a-leaders"])
+    def test_check_distinguished_rejects(self, blocks, values, aset, message):
+        with pytest.raises(ValueError, match=message):
+            forests.check_distinguished(Distinguished(blocks, values, frozenset(aset)))
+
     def test_signed_sum_at_zero_counts_everything(self):
         # with empty A every sign is +1
         plain = enumerate_dcf(2, 3, 2, 0, 2, size_a=0)

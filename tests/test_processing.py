@@ -1,5 +1,11 @@
 """Unit tests for the processing map, its reversal, image test, and pairing."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from panehr import forests
@@ -100,6 +106,43 @@ class TestPhi:
         assert "\n".join(phi_trace(EXAMPLE_TWO)) == TRACE_TWO
 
 
+OPTIMIZED_SCRIPT = """
+import json, sys
+from panehr.forests import Distinguished, Valued
+from panehr.processing import AlgorithmState, phi_trace, process_step, reverse_trace
+tampered = AlgorithmState(((1, 6, 2), (3, 7, 5), (4,)), (2, 1, 0),
+                          frozenset({5}), (1, 2, 3, 4, 5, 6, 7))
+try:
+    process_step(tampered)
+    raised = None
+except AssertionError as exc:
+    raised = str(exc)
+print(json.dumps({
+    "optimize": sys.flags.optimize,
+    "raised": raised,
+    "one": phi_trace(Distinguished(((1, 6, 2), (3, 7, 5), (4,)), (2, 1, 0), frozenset())),
+    "two": phi_trace(Distinguished(((1, 5, 3), (2,), (4, 7), (8,), (6,)),
+                                   (2, 2, 1, 0, 1), frozenset({6, 8}))),
+    "reverse": reverse_trace(Valued(((3, 1, 4), (5, 2, 6), (7,), (8,)), (0, 0, 0, 1)), 5),
+}))
+"""
+
+
+def test_invariants_survive_optimize():
+    # python -O strips assert statements; the step invariants must still raise
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(done.stdout)
+    assert out["optimize"] == 1
+    assert out["raised"] == "elements are not processed in increasing order"
+    assert "\n".join(out["one"]) == TRACE_ONE
+    assert "\n".join(out["two"]) == TRACE_TWO
+    assert "\n".join(out["reverse"]) == TRACE_REVERSE
+
+
 class TestReverse:
     def test_reverse_trace_golden(self):
         v = Valued(((3, 1, 4), (5, 2, 6), (7,), (8,)), (0, 0, 0, 1))
@@ -168,6 +211,16 @@ class TestPhiInverse:
         with pytest.raises(ValueError):
             phi_inverse(Distinguished(((2, 1), (3,)), (0, 0), frozenset()), 0)
 
+    def test_run_phi_reports_the_rejection_reason(self, monkeypatch):
+        from panehr import campaigns, processing
+
+        non_image = Distinguished(((2, 1),), (0,), frozenset())
+        monkeypatch.setattr(processing, "phi", lambda d: non_image)
+        bijection = campaigns.run_phi(2, 0)[0]
+        assert not bijection.ok
+        assert bijection.actual.startswith("image rejected: [2,1]|A={}: ")
+        assert bijection.actual.endswith("condition 4: no split index balances the budget")
+
 
 class TestImageCheck:
     def test_accepts_plain_weight_zero(self):
@@ -232,6 +285,11 @@ class TestImageCheck:
                                 img = phi(d)
                                 assert image_check(img, q, k=k, ell=ell, m=m,
                                                    upper=True)
+
+    def test_upper_variant_needs_the_class(self):
+        # raised whatever the forest, before any condition is tested
+        with pytest.raises(ValueError, match="needs ell and m"):
+            image_check(Distinguished(((2, 1),), (0,), frozenset()), 0, upper=True)
 
     def test_upper_variant_rejects_value_on_last_block(self):
         d = Distinguished(((2,), (1,)), (0, 1), frozenset({1}))
