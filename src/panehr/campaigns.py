@@ -231,12 +231,17 @@ def run_involution(s: int, q: int) -> list[Row]:
     problems = []
     seen = set()
     for d in minus:
-        y = processing.involution_f(d)
+        try:
+            y = processing.involution_f(d)
+            on_plus = y not in seen and processing.positive_side(y)
+        except ValueError as exc:
+            problems.append(f"pairing failed at {forests.format_distinguished(d)}: {exc}")
+            continue
         if y in seen:
             problems.append(f"not injective at {forests.format_distinguished(d)}")
             continue
         seen.add(y)
-        if not processing.positive_side(y):
+        if not on_plus:
             problems.append(f"image not on plus side: {forests.format_distinguished(y)}")
         if (len(y.blocks), forests.gamma_vector(y.blocks)) != classes[d]:
             problems.append(f"class changed at {forests.format_distinguished(d)}")
@@ -245,15 +250,10 @@ def run_involution(s: int, q: int) -> list[Row]:
                       f"{len(minus)} minus-side elements pair off",
                       problems[0] if problems else f"{len(minus)} verified")]
     _, refined = forests.cf_census(s)
-    balance_ok = True
-    detail = ""
-    for key in set(minus_count) | set(plus_count):
-        if minus_count.get(key, 0) != plus_count.get(key, 0):
-            balance_ok = False
-            detail = f"class {key}: minus {minus_count.get(key, 0)} plus {plus_count.get(key, 0)}"
-            break
+    detail = _first_mismatch(s, lambda c: minus_count.get(c, 0),
+                             lambda c: plus_count.get(c, 0))
     rows.append(_bool_row({"s": s, "q": q, "check": "cancellation"},
-                          balance_ok, "per-class |minus| == |plus|",
+                          not detail, "per-class |minus| == |plus|",
                           detail or "balanced"))
     detail = _first_mismatch(s, lambda c: plain_count.get(c, 0),
                              lambda c: refined.get((q, *c), 0))
@@ -432,10 +432,12 @@ def campaign_bounds(name: str, bounds: dict | None = None) -> dict:
 
 def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> list[Row]:
     """Run one campaign; rows come back in deterministic grid order."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got jobs={jobs}")
     merged = campaign_bounds(name, bounds)
     tasks = [(name, unit) for unit in CAMPAIGNS[name].units(**merged)]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_run_unit, tasks))
     else:
         chunks = [_run_unit(t) for t in tasks]

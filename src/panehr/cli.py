@@ -158,31 +158,26 @@ def _write_csv(handle, rows) -> None:
                         + [row.expected, row.actual, "ok" if row.ok else "FAIL"])
 
 
+# kind: (required query flags, enumerator taking q, s, k, ell, m, line format)
+KINDS = {
+    "forests": (("q", "s", "k"), forests.enumerate_cf, forests.format_forest),
+    "dcf": (("q", "s", "k", "ell", "m"), forests.enumerate_dcf, forests.format_distinguished),
+    "cf1": (("q", "s", "k", "ell", "m"), forests.enumerate_cf1, forests.format_forest),
+}
+
+
 def cmd_enumerate(args) -> int:
+    flags, enumerate_kind, line = KINDS[args.kind]
     try:
-        if args.kind == "forests":
-            _need(args, "q", "s", "k")
-            _check_query(args)
-            items = forests.enumerate_cf(args.q, args.s, args.k, args.ell, args.m)
-            lines = [forests.format_forest(f) for f in items]
-        elif args.kind == "dcf":
-            _need(args, "q", "s", "k", "ell", "m")
-            _check_query(args)
-            items = forests.enumerate_dcf(args.q, args.s, args.k, args.ell, args.m)
-            lines = [forests.format_distinguished(d) for d in items]
-        elif args.kind == "cf1":
-            _need(args, "q", "s", "k", "ell", "m")
-            _check_query(args)
-            items = forests.enumerate_cf1(args.q, args.s, args.k, args.ell, args.m)
-            lines = [forests.format_forest(f) for f in items]
-        else:
-            raise ValueError(f"unknown kind {args.kind!r}")
+        _need(args, *flags)
+        _check_query(args)
+        items = enumerate_kind(args.q, args.s, args.k, args.ell, args.m)
     except ValueError as exc:
         _err(str(exc))
         return 2
-    for line in lines:
-        print(line)
-    print(f"count: {len(lines)}")
+    for item in items:
+        print(line(item))
+    print(f"count: {len(items)}")
     return 0
 
 
@@ -279,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="list combinatorial objects")
-    p_enum.add_argument("kind", choices=("forests", "dcf", "cf1"))
+    p_enum.add_argument("kind", choices=tuple(KINDS))
     p_enum.add_argument("--q", type=int)
     p_enum.add_argument("--s", type=int)
     p_enum.add_argument("--k", type=int)

@@ -345,8 +345,9 @@ def _a_split(d: Distinguished) -> tuple[int, Optional[str]]:
     return split, None
 
 
-def check_distinguished(d: Distinguished) -> None:
-    """Validate the structural invariants of an A-distinguished forest.
+def check_distinguished(d: Distinguished) -> int:
+    """Validate the structural invariants of an A-distinguished forest and
+    return the index of its first A block (len(d.blocks) if none).
 
     Blocks must be homogeneous with respect to A, non-A blocks must come
     first in increasing leader order, A blocks last in decreasing leader
@@ -370,6 +371,7 @@ def check_distinguished(d: Distinguished) -> None:
             raise ValueError(f"block {b} has nonzero weight")
     if not is_naturally_ordered(bpart):
         raise ValueError("non-A blocks are not increasing by leader")
+    return split
 
 
 def _dcf_iter(q: int, s: int, need_one: bool = False) -> Iterator[Distinguished]:

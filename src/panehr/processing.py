@@ -133,8 +133,8 @@ def process_step(state: AlgorithmState) -> Optional[AlgorithmState]:
 
 
 def run_processing(valued: Valued, collect: bool = False
-                   ) -> tuple[Valued, list[AlgorithmState]]:
-    """Iterate to the fixed point; optionally keep every snapshot."""
+                   ) -> tuple[AlgorithmState, list[AlgorithmState]]:
+    """Run to the fixed point; returns its snapshot and, if collect, all."""
     state = initial_state(valued)
     trail = [state] if collect else []
     budget = sum(valued.values)
@@ -147,13 +147,27 @@ def run_processing(valued: Valued, collect: bool = False
             raise AssertionError("processed count plus remaining values is not conserved")
         if collect:
             trail.append(state)
-    return Valued(state.blocks, state.values), trail
+    return state, trail
 
 
-def _split_parts(d: Distinguished) -> tuple[Valued, Valued]:
-    split, _ = _a_split(d)
+def _split_parts(d: Distinguished, split: int) -> tuple[Valued, Valued]:
     return (Valued(d.blocks[:split], d.values[:split]),
             Valued(d.blocks[split:], d.values[split:]))
+
+
+def _phi(d: Distinguished, split: int) -> tuple[Distinguished, int]:
+    """phi of a checked d whose A blocks start at split, and the image's
+    split index j: the number of trailing non-A blocks processed fully."""
+    nondist, dist = _split_parts(d, split)
+    out, _ = run_processing(nondist)
+    result = Distinguished(out.blocks + dist.blocks,
+                           out.values + dist.values, d.aset)
+    if tuple(map(len, result.blocks)) != tuple(map(len, d.blocks)):
+        raise AssertionError("block length sequence not preserved")
+    j = 0
+    while j < split and out.processed.issuperset(out.blocks[split - 1 - j]):
+        j += 1
+    return result, j
 
 
 def phi(d: Distinguished) -> Distinguished:
@@ -162,14 +176,7 @@ def phi(d: Distinguished) -> Distinguished:
     The input must be a valid valued A-distinguished forest; the A part
     and all block lengths are preserved, as is gamma at every position.
     """
-    check_distinguished(d)
-    nondist, dist = _split_parts(d)
-    out, _ = run_processing(nondist)
-    result = Distinguished(out.blocks + dist.blocks,
-                           out.values + dist.values, d.aset)
-    if tuple(map(len, result.blocks)) != tuple(map(len, d.blocks)):
-        raise AssertionError("block length sequence not preserved")
-    return result
+    return _phi(d, check_distinguished(d))[0]
 
 
 def trace_line(state: AlgorithmState) -> str:
@@ -180,8 +187,7 @@ def trace_line(state: AlgorithmState) -> str:
 
 def phi_trace(d: Distinguished) -> list[str]:
     """Per-iteration log of the run on the non-A part of d."""
-    check_distinguished(d)
-    nondist, _ = _split_parts(d)
+    nondist, _ = _split_parts(d, check_distinguished(d))
     _, trail = run_processing(nondist, collect=True)
     return [trace_line(st) for st in trail]
 
@@ -350,15 +356,13 @@ def phi_inverse(d: Distinguished, q: int) -> Distinguished:
     verdict = image_check(d, q)
     if not verdict:
         raise ValueError(f"not in the image of phi: {verdict.reason}")
-    nondist, dist = _split_parts(d)
+    nondist, dist = _split_parts(d, len(d.blocks) - distinguished_block_count(d))
     q1 = q - len(d.aset) - sum(dist.values)
     state = reconstruct_state(nondist, q1)
     while state.processed:
         state = reverse_step(state, q1)
-    result = Distinguished(state.blocks + dist.blocks,
-                           state.values + dist.values, d.aset)
-    check_distinguished(result)
-    return result
+    return Distinguished(state.blocks + dist.blocks,
+                         state.values + dist.values, d.aset)
 
 
 def enumerate_image_candidates(q: int, s: int) -> Iterator[Distinguished]:
@@ -415,17 +419,15 @@ def positive_side(d: Distinguished) -> bool:
     """True when d carries sign +1 and is not one of the plain forests.
 
     Sign +1 elements with empty A only count when their image under phi
-    has at least one trailing all-processed block.
+    has at least one trailing all-processed block.  Raises ValueError
+    when d is not a valid distinguished forest.
     """
+    split = check_distinguished(d)
     if negative_side(d):
         return False
     if d.aset:
         return True
-    q = len(d.aset) + sum(d.values)
-    verdict = image_check(phi(d), q)
-    if not verdict:
-        raise AssertionError("phi image failed its own membership test")
-    return verdict.j >= 1
+    return _phi(d, split)[1] >= 1
 
 
 def involution_f(d: Distinguished) -> Distinguished:
@@ -437,18 +439,16 @@ def involution_f(d: Distinguished) -> Distinguished:
     pulls the result back through phi.  The number of A blocks changes by
     exactly one, flipping the sign.
     """
+    split = check_distinguished(d)
     if not negative_side(d):
         raise ValueError("involution_f is only defined on the sign -1 side")
     q = len(d.aset) + sum(d.values)
-    img = phi(d)
-    verdict = image_check(img, q)
-    if not verdict:
-        raise AssertionError("phi image failed its own membership test")
+    # phi keeps the A part and the block lengths, so img splits where d does
+    img, j = _phi(d, split)
     blocks, values, aset = img
-    split, _ = _a_split(img)
     bpart = blocks[:split]
     c_first = blocks[split]
-    if verdict.j == 0 or (bpart and c_first[0] > bpart[-1][0]):
+    if j == 0 or (bpart and c_first[0] > bpart[-1][0]):
         new_aset = aset - set(c_first)
     else:
         new_aset = aset | set(bpart[-1])

@@ -177,6 +177,47 @@ class TestVerify:
                            "--jobs", "2", "--no-color")
         assert code == 0 and "result: PASS" in out
 
+    def test_jobs_capped_at_unit_count(self, monkeypatch):
+        from panehr import campaigns
+
+        workers = []
+
+        class FakePool:
+            # runs the units in this process; records the pool size asked for
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", FakePool)
+        bounds = {"max_s": 1, "max_q": 1}
+        assert len(campaigns.units_by_sq(**bounds)) == 2
+        rows = campaigns.run_campaign("phi", bounds, jobs=64)
+        assert workers == [2]
+        assert rows == campaigns.run_campaign("phi", bounds, jobs=1)
+
+    def test_processing_fault_is_a_failure(self, capsys, monkeypatch):
+        from panehr import processing
+
+        def broken(d, q):
+            raise processing.ReverseError("reversal broke")
+
+        monkeypatch.setattr(processing, "phi_inverse", broken)
+        code, out, err = run(capsys, "verify", "involution", "--max-s", "2",
+                             "--max-q", "1", "--no-color")
+        assert code == 1
+        assert "result: FAIL" in out
+        first = [line for line in out.splitlines() if line.startswith("first failure:")]
+        assert len(first) == 1 and "reversal broke" in first[0]
+        assert "panehr: error:" not in err
+
     def test_deterministic_summary(self, capsys):
         args = ("verify", "per-term", "--max-s", "2", "--max-q", "2", "--no-color")
         _, first, _ = run(capsys, *args)
@@ -187,6 +228,7 @@ class TestVerify:
         ("phi", "--max-s", "-1"),
         ("phi", "--max-s", "0"),
         ("identity-main", "--max-q", "-3"),
+        ("phi", "--jobs", "0"),
     ])
     def test_empty_or_negative_bounds_exit_two(self, capsys, campaign, flag, value):
         code, out, err = run(capsys, "verify", campaign, flag, value, "--no-color")

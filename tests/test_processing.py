@@ -297,6 +297,46 @@ class TestImageCheck:
         assert not verdict and "upper condition" in verdict.reason
 
 
+class TestCheckOnce:
+    def test_kernel_split_index_matches_image_check(self):
+        from panehr import processing
+
+        for s in range(1, 5):
+            for q in range(0, 4):
+                for d in forests.iter_dcf(q, s):
+                    image, j = processing._phi(d, forests.check_distinguished(d))
+                    assert image == phi(d)
+                    assert j == image_check(image, q).j, d
+
+    def test_positive_side_rejects_malformed_forest_with_a(self):
+        # two A blocks put d on the sign +1 side, where a nonempty A
+        # answers before phi runs; the weighted non-A block is still caught
+        d = Distinguished(((2, 1), (4,), (3,)), (0, 0, 0), frozenset({3, 4}))
+        with pytest.raises(ValueError, match="nonzero weight"):
+            positive_side(d)
+
+    def test_each_entry_point_checks_its_input_once(self, monkeypatch):
+        from panehr import processing
+
+        calls = []
+        original = processing.check_distinguished
+        monkeypatch.setattr(processing, "check_distinguished",
+                            lambda d: calls.append(d) or original(d))
+
+        def checks(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        q = 2
+        for d in forests.iter_dcf(q, 3):
+            assert checks(phi, d) == 1
+            assert checks(positive_side, d) == 1
+            assert checks(phi_inverse, phi(d), q) == 0
+            if negative_side(d):
+                assert checks(involution_f, d) == 1
+
+
 class TestInvolution:
     def test_changes_distinguished_part_by_one(self):
         for s in range(1, 5):
@@ -327,6 +367,15 @@ class TestInvolution:
         d = Distinguished(((1,), (2,)), (0, 0), frozenset({2}))
         y = involution_f(d)
         assert y.aset == frozenset()
+
+    def test_cancellation_names_the_first_class(self, monkeypatch):
+        from panehr import campaigns, processing
+
+        # with an empty plus side, every minus-side class is unbalanced
+        monkeypatch.setattr(processing, "positive_side", lambda d: False)
+        rows = {dict(r.params)["check"]: r for r in campaigns.run_involution(2, 1)}
+        assert not rows["cancellation"].ok
+        assert rows["cancellation"].actual == "class k=2 ell=0 m=2: 2 != 0"
 
     def test_injective_and_counts_match(self):
         for s in range(1, 5):
