@@ -14,11 +14,11 @@ import os
 import sys
 import tempfile
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
+from .exactmath import Polynomial, poly_from_json
 
 
 def default_cache_dir() -> Path:
@@ -42,8 +42,8 @@ def _warn(msg: str) -> None:
     print(f"panehr: cache warning: {msg}", file=sys.stderr)
 
 
-def load(cache_dir: Path, family: str, params: dict) -> Optional[list[str]]:
-    """Return the cached coefficient strings, or None on miss/corruption."""
+def load(cache_dir: Path, family: str, params: dict) -> Optional[Polynomial]:
+    """Return the cached polynomial, or None on miss/corruption."""
     path = _entry_path(cache_dir, cache_key(family, params))
     if not path.exists():
         return None
@@ -57,12 +57,12 @@ def load(cache_dir: Path, family: str, params: dict) -> Optional[list[str]]:
         coeffs = payload["coefficients"]
         if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
             raise ValueError("bad coefficient payload")
-        parsed = [Fraction(c) for c in coeffs]  # raises if one does not parse
+        poly = poly_from_json(coeffs)  # raises if one does not parse
         # no family yields the zero polynomial, and poly_to_json writes no
-        # trailing zero
-        if not parsed or parsed[-1] == 0:
+        # trailing zero (which Polynomial drops)
+        if not poly.coeffs or len(poly.coeffs) != len(coeffs):
             raise ValueError("no nonzero leading coefficient")
-        return coeffs
+        return poly
     except (OSError, ValueError, KeyError, ZeroDivisionError) as exc:
         _warn(f"ignoring corrupt entry {path.name} ({exc})")
         return None

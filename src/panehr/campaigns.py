@@ -418,9 +418,12 @@ def _run_unit(task: tuple[str, dict]) -> list[Row]:
     return CAMPAIGNS[name].runner(**kwargs)
 
 
-def campaign_bounds(name: str, bounds: dict | None = None) -> dict:
-    """The campaign's default bounds overridden by the given ones; None
-    values and keys the campaign does not take are ignored."""
+def campaign_bounds(name: str, bounds: dict | None = None, jobs: int = 1) -> dict:
+    """The campaign's default bounds overridden by the given ones, for a run
+    on jobs workers; None values and keys the campaign does not take are
+    ignored.  Raises ValueError for a negative bound or jobs < 1."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got jobs={jobs}")
     merged = dict(CAMPAIGNS[name].defaults)
     for key, value in (bounds or {}).items():
         if value is not None and key in merged:
@@ -432,9 +435,7 @@ def campaign_bounds(name: str, bounds: dict | None = None) -> dict:
 
 def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> list[Row]:
     """Run one campaign; rows come back in deterministic grid order."""
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got jobs={jobs}")
-    merged = campaign_bounds(name, bounds)
+    merged = campaign_bounds(name, bounds, jobs)
     tasks = [(name, unit) for unit in CAMPAIGNS[name].units(**merged)]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

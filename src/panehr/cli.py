@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, cache, campaigns, ehrhart, forests, oracle
-from .exactmath import Polynomial, poly_from_json, poly_to_json
+from .exactmath import Polynomial, poly_to_json
 
 
 def _err(msg: str) -> None:
@@ -83,11 +83,10 @@ def cmd_compute(args) -> int:
     cache_dir = args.cache_dir or cache.default_cache_dir()
     try:
         call, params = _family_call(args.family, args)
-        hit = None if args.no_cache else cache.load(cache_dir, args.family, params)
-        if hit is not None:
+        poly = None if args.no_cache else cache.load(cache_dir, args.family, params)
+        if poly is not None:
             print(f"panehr: cache hit for {cache.cache_key(args.family, params)}",
                   file=sys.stderr)
-            poly = poly_from_json(hit)
         else:
             poly = FAMILIES[args.family].compute(*call)
             if not args.no_cache:
@@ -116,8 +115,13 @@ def cmd_verify(args) -> int:
                 return 2
             bounds[key] = value
     try:
-        # opened before the run, so an unwritable path fails in no time
+        # opening the --csv file truncates it, so the run's own checks come
+        # first; it is opened before the run, so an unwritable path fails fast
+        campaigns.campaign_bounds(args.campaign, bounds, args.jobs)
         csv_file = open(args.csv, "w", newline="") if args.csv else None
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
     except OSError as exc:
         _err(f"cannot write the --csv file: {exc}")
         return 2

@@ -20,8 +20,9 @@ this module) are verified.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from itertools import combinations, permutations
+from operator import attrgetter
+from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import binomial, pi_range
 
@@ -58,26 +59,29 @@ def forest_weight(blocks: Forest) -> int:
     return sum(block_weight(b) for b in blocks)
 
 
-def block_ends(blocks: Forest) -> tuple[int, ...]:
-    """Cumulative end position of each block in the flattened forest."""
-    ends = []
-    pos = 0
+def gamma_vector(blocks: Forest) -> tuple[int, ...]:
+    """gamma(blocks, ell) at every position ell of the flattened forest.
+
+    Every position inside the j-th block (0-based) has exactly the
+    trailers of blocks j..k-1 after it, so gamma there is k - j.
+    """
+    gvec: list[int] = []
+    after = len(blocks)
     for b in blocks:
-        pos += len(b)
-        ends.append(pos)
-    return tuple(ends)
+        gvec += [after] * len(b)
+        after -= 1
+    return tuple(gvec)
 
 
 def gamma(blocks: Forest, ell: int) -> int:
     """Number of trailers after position ell in the flattened forest.
 
-    Counts the blocks whose cumulative end position exceeds ell.  Requires
-    0 <= ell <= s-1 where s is the ground-set size.
+    Requires 0 <= ell <= s-1 where s is the ground-set size.
     """
-    s = sum(len(b) for b in blocks)
-    if not 0 <= ell <= s - 1:
-        raise ValueError(f"gamma position must satisfy 0 <= ell <= {s - 1}, got {ell}")
-    return sum(1 for e in block_ends(blocks) if e > ell)
+    gvec = gamma_vector(blocks)
+    if not 0 <= ell <= len(gvec) - 1:
+        raise ValueError(f"gamma position must satisfy 0 <= ell <= {len(gvec) - 1}, got {ell}")
+    return gvec[ell]
 
 
 def is_naturally_ordered(blocks: Forest) -> bool:
@@ -104,37 +108,46 @@ def _canonical_key(blocks: Forest) -> tuple:
 # ---------------------------------------------------------------------------
 # enumerators
 
-def _chain_sets(elements: Sequence[int]) -> Iterator[list[list[int]]]:
-    """All ways to arrange the given elements into disjoint ordered chains.
+def _chain_sets(elements: Sequence[int], keep: Collection[int] = ()
+                ) -> Iterator[list[Block]]:
+    """All ways to arrange the given elements into disjoint ordered chains
+    in which an element of keep that leads a chain stays its leader.
 
-    Elements are inserted one at a time; each insertion point (a fresh
-    chain, the front of a chain, or directly after any element) produces a
-    distinct arrangement, so every chain set appears exactly once.
+    Elements are inserted one at a time, in the given order; each insertion
+    point (the front of a chain, directly after any element, or a fresh
+    chain, tried in that order) produces a distinct arrangement, so every
+    chain set appears exactly once.  The front of a chain led by an
+    element of keep is skipped.  With keep empty this gives every chain
+    set; with every element kept and inserted in increasing order, the
+    weight-0 chains (leader minimal); with keep = {1}, the chain sets
+    where 1 leads its chain.  Chains come in the order of their first
+    inserted element.
     """
     elems = list(elements)
     chains: list[list[int]] = []
 
-    def rec(idx: int) -> Iterator[list[list[int]]]:
+    def rec(idx: int) -> Iterator[list[Block]]:
         if idx == len(elems):
-            yield [c[:] for c in chains]
+            yield [tuple(c) for c in chains]
             return
         e = elems[idx]
-        chains.append([e])
-        yield from rec(idx + 1)
-        chains.pop()
         for c in chains:
-            for pos in range(len(c) + 1):
+            for pos in range(1 if c[0] in keep else 0, len(c) + 1):
                 c.insert(pos, e)
                 yield from rec(idx + 1)
                 del c[pos]
+        chains.append([e])
+        yield from rec(idx + 1)
+        chains.pop()
 
     yield from rec(0)
 
 
 def naturally_ordered_forests(elements: Sequence[int]) -> Iterator[Forest]:
     """All naturally ordered chain forests over the given elements."""
+    # disjoint blocks sort by their leaders
     for cs in _chain_sets(elements):
-        yield tuple(sorted((tuple(c) for c in cs), key=lambda b: b[0]))
+        yield tuple(sorted(cs))
 
 
 def all_ordered_chain_forests(elements: Sequence[int]) -> Iterator[Forest]:
@@ -150,80 +163,6 @@ def all_ordered_chain_forests(elements: Sequence[int]) -> Iterator[Forest]:
             cuts = [i for i in range(1, n) if mask >> (i - 1) & 1]
             bounds = [0] + cuts + [n]
             yield tuple(perm[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1))
-
-
-def enumerate_cf(q: int, s: int, k: int,
-                 ell: Optional[int] = None, m: Optional[int] = None) -> list[Forest]:
-    """Naturally ordered chain forests of [s] with k blocks and weight q.
-
-    With ell and m given, keeps only forests with gamma(F, ell) = m.
-    Returned in canonical order: lexicographic on the flattened element
-    sequence, then on the block length sequence.
-    """
-    out = []
-    for f in naturally_ordered_forests(range(1, s + 1)):
-        if len(f) != k or forest_weight(f) != q:
-            continue
-        if ell is not None and gamma(f, ell) != m:
-            continue
-        out.append(f)
-    out.sort(key=_canonical_key)
-    return out
-
-
-def enumerate_cf_refined(q: int, s: int, k: int, ell: int, m: int) -> int:
-    """|CF(q, s, k, ell, m)| by exhaustive enumeration."""
-    return len(enumerate_cf(q, s, k, ell, m))
-
-
-def gamma_vector(blocks: Forest) -> tuple[int, ...]:
-    """gamma(blocks, ell) at every position ell of the flattened forest.
-
-    Every position inside the j-th block (0-based) has exactly the
-    trailers of blocks j..k-1 after it, so gamma there is k - j.
-    """
-    gvec: list[int] = []
-    after = len(blocks)
-    for b in blocks:
-        gvec += [after] * len(b)
-        after -= 1
-    return tuple(gvec)
-
-
-def tally_gamma(census: dict, head: tuple, blocks: Forest,
-                weight: int = 1, leader_split: bool = False) -> tuple[int, ...]:
-    """Add weight to census[head + (k, ell, m)] at every position ell, where
-    k is the block count and m = gamma(blocks, ell); returns the gamma vector.
-
-    With leader_split, only positions where the leader of the (k-m+2)-th
-    block sits at ell+2 are counted (the leader-1 censuses).
-    """
-    k = len(blocks)
-    gvec = gamma_vector(blocks)
-    for ell, m in enumerate(gvec):
-        if leader_split and not _leader_position_ok(blocks, k, m, ell):
-            continue
-        key = head + (k, ell, m)
-        census[key] = census.get(key, 0) + weight
-    return gvec
-
-
-@lru_cache(maxsize=None)
-def cf_census(s: int) -> tuple[dict, dict]:
-    """One pass over all naturally ordered forests of [s].
-
-    Returns (totals, refined) where totals[(q, k)] counts forests and
-    refined[(q, k, ell, m)] additionally classifies by gamma at each
-    position.  Treat the returned dicts as read-only.
-    """
-    totals: dict = {}
-    refined: dict = {}
-    for f in naturally_ordered_forests(range(1, s + 1)):
-        q = forest_weight(f)
-        k = len(f)
-        totals[q, k] = totals.get((q, k), 0) + 1
-        tally_gamma(refined, (q,), f)
-    return totals, refined
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +222,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _set_partitions(elems: list[int]) -> Iterator[list[list[int]]]:
-    if not elems:
-        yield []
-        return
-    first, rest = elems[0], elems[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield part + [[first]]
-
-
-def _min_led_blocks(elements: Sequence[int]) -> Iterator[tuple[Block, ...]]:
-    """All ways to break elements into weight-0 blocks.
-
-    A block has weight 0 exactly when its leader is its minimum; the
-    remaining elements may appear in any internal order.
-    """
-    for partition in _set_partitions(sorted(elements)):
-        pools = []
-        for blk in partition:
-            mn = min(blk)
-            rest = sorted(x for x in blk if x != mn)
-            pools.append([(mn,) + p for p in permutations(rest)])
-        yield from product(*pools)
 
 
 def distinguished_block_count(d: Distinguished) -> int:
@@ -386,10 +299,11 @@ def _dcf_iter(q: int, s: int, need_one: bool = False) -> Iterator[Distinguished]
                 continue
             rest = tuple(e for e in universe if e not in aset)
             afro = frozenset(aset)
-            for bpart in _min_led_blocks(rest):
-                bblocks = tuple(sorted(bpart, key=lambda b: b[0]))
-                for cpart in _min_led_blocks(aset):
-                    cblocks = tuple(sorted(cpart, key=lambda b: b[0], reverse=True))
+            # every block has weight 0; the A blocks decrease by leader
+            cparts = [tuple(sorted(cs, reverse=True)) for cs in _chain_sets(aset, aset)]
+            for bpart in _chain_sets(rest, rest):
+                bblocks = tuple(sorted(bpart))
+                for cblocks in cparts:
                     blocks = bblocks + cblocks
                     for values in compositions(q - i, len(blocks)):
                         yield Distinguished(blocks, values, afro)
@@ -401,47 +315,7 @@ def iter_dcf(q: int, s: int, need_one: bool = False) -> Iterator[Distinguished]:
 
 
 def _dcf_sort_key(d: Distinguished) -> tuple:
-    return (flatten(d.blocks), tuple(len(b) for b in d.blocks),
-            d.values, tuple(sorted(d.aset)))
-
-
-def enumerate_dcf(q: int, s: int, k: Optional[int] = None,
-                  ell: Optional[int] = None, m: Optional[int] = None,
-                  size_a: Optional[int] = None) -> list[Distinguished]:
-    """Valued A-distinguished forests of [s] with |A| + sum(values) = q.
-
-    Optional filters: block count k, gamma(F, ell) = m, and |A| = size_a.
-    Canonical order: flattened elements, block lengths, values, then A.
-    """
-    if (ell is None) != (m is None):
-        raise ValueError("ell and m must be given together")
-    out = []
-    for d in _dcf_iter(q, s):
-        if k is not None and len(d.blocks) != k:
-            continue
-        if ell is not None and gamma(d.blocks, ell) != m:
-            continue
-        if size_a is not None and len(d.aset) != size_a:
-            continue
-        out.append(d)
-    out.sort(key=_dcf_sort_key)
-    return out
-
-
-def dcf_signed_sum(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
-    """Sum of (-1)^(number of A blocks) over the |A| = i slice of
-    DCF(q, s, k, ell, m)."""
-    return dcf_signed_census(q, s).get((i, k, ell, m), 0)
-
-
-@lru_cache(maxsize=None)
-def dcf_signed_census(q: int, s: int) -> dict:
-    """dict (i, k, ell, m) -> signed count over all of DCF(q, s)."""
-    agg: dict = {}
-    for d in _dcf_iter(q, s):
-        sign = -1 if distinguished_block_count(d) % 2 else 1
-        tally_gamma(agg, (len(d.aset),), d.blocks, sign)
-    return agg
+    return _canonical_key(d.blocks) + (d.values, tuple(sorted(d.aset)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +334,168 @@ def _leader_position_ok(blocks: Forest, k: int, m: int, ell: int) -> bool:
 def _cf1_forests(u: int) -> Iterator[Forest]:
     """Forests of [u] whose last block is led by 1, all other blocks
     naturally ordered among themselves."""
-    others = tuple(range(2, u + 1))
-    for csize in range(0, u):
-        for extra in combinations(others, csize):
-            extra_set = set(extra)
-            remaining = tuple(e for e in others if e not in extra_set)
-            for perm in permutations(extra):
-                c1 = (1,) + perm
-                for cs in _chain_sets(remaining):
-                    bblocks = tuple(sorted((tuple(c) for c in cs), key=lambda b: b[0]))
-                    yield bblocks + (c1,)
+    # 1 is inserted first, so its chain comes first; [0] has no such forest
+    for one, *others in (_chain_sets(range(1, u + 1), {1}) if u else ()):
+        yield tuple(sorted(others)) + (one,)
+
+
+# ---------------------------------------------------------------------------
+# the four families, each described once; every enumerator and census below
+# is derived from these descriptions
+
+
+class _Family(NamedTuple):
+    """A chain-forest family: the stream of its objects for (q, s), the
+    forest of an object, the statistic that keys its census and that its
+    enumerator selects on (q or |A|), the sign an object counts with, the
+    restriction an object must meet (None: none), whether only positions
+    passing _leader_position_ok count, and the canonical sort key."""
+
+    stream: Callable[[int, int], Iterator]
+    blocks: Callable[[Any], Forest]
+    head: Callable[[Any], int]
+    sign: Callable[[Any], int]
+    restrict: Optional[Callable[[Any], bool]]
+    leader_split: bool
+    sort_key: Callable[[Any], tuple]
+
+
+# CF: naturally ordered forests of [s], keyed by their weight q
+_CF = _Family(stream=lambda q, s: naturally_ordered_forests(range(1, s + 1)),
+              blocks=lambda f: f, head=forest_weight, sign=lambda f: 1,
+              restrict=None, leader_split=False, sort_key=_canonical_key)
+# CF1: forests of [s] whose last block is led by 1, keyed by the weight of
+# the other blocks plus the size of the 1-block
+_CF1 = _Family(stream=lambda q, s: _cf1_forests(s),
+               blocks=lambda f: f, head=lambda f: forest_weight(f[:-1]) + len(f[-1]),
+               sign=lambda f: 1, restrict=None, leader_split=True,
+               sort_key=_canonical_key)
+# DCF: valued A-distinguished forests of budget q, keyed by |A|, signed by
+# the number of A blocks
+_DCF = _Family(stream=_dcf_iter, blocks=attrgetter("blocks"),
+               head=lambda d: len(d.aset),
+               sign=lambda d: (-1) ** distinguished_block_count(d),
+               restrict=None, leader_split=False, sort_key=_dcf_sort_key)
+# DCF1: those with 1 in A, so 1 leads the last block, and value 0 there;
+# keyed by |A|, signed by the number of A blocks other than the last
+_DCF1 = _Family(stream=lambda q, s: _dcf_iter(q, s, need_one=True),
+                blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
+                sign=lambda d: (-1) ** (distinguished_block_count(d) - 1),
+                restrict=lambda d: d.values[-1] == 0, leader_split=True,
+                sort_key=_dcf_sort_key)
+
+
+def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int],
+            m: Optional[int], head: Optional[int]) -> list:
+    """The family's objects for (q, s) with k blocks, gamma(F, ell) = m and
+    the given head statistic (a filter given as None is skipped) that meet
+    its restriction and, for the leader-1 families, _leader_position_ok; in
+    canonical order."""
+    if (ell is None) != (m is None):
+        raise ValueError("ell and m must be given together")
+    out = []
+    for item in family.stream(q, s):
+        blocks = family.blocks(item)
+        if k is not None and len(blocks) != k:
+            continue
+        if ell is not None and gamma(blocks, ell) != m:
+            continue
+        if head is not None and family.head(item) != head:
+            continue
+        if family.leader_split and not _leader_position_ok(blocks, k, m, ell):
+            continue
+        if family.restrict and not family.restrict(item):
+            continue
+        out.append(item)
+    out.sort(key=family.sort_key)
+    return out
+
+
+def tally_gamma(census: dict, head: tuple, blocks: Forest,
+                weight: int = 1, leader_split: bool = False) -> tuple[int, ...]:
+    """Add weight to census[head + (k, ell, m)] at every position ell, where
+    k is the block count and m = gamma(blocks, ell); returns the gamma vector.
+
+    With leader_split, only positions where the leader of the (k-m+2)-th
+    block sits at ell+2 are counted (the leader-1 censuses).
+    """
+    k = len(blocks)
+    gvec = gamma_vector(blocks)
+    for ell, m in enumerate(gvec):
+        if leader_split and not _leader_position_ok(blocks, k, m, ell):
+            continue
+        key = head + (k, ell, m)
+        census[key] = census.get(key, 0) + weight
+    return gvec
+
+
+def _census(family: _Family, q: int, s: int, totals: Optional[dict] = None) -> dict:
+    """dict (head, k, ell, m) -> signed count of the family's objects for
+    (q, s) that meet its restriction; with totals, also counts those
+    objects by (head, k) there."""
+    stream, blocks_of, head_of, sign, restrict, leader_split, _ = family
+    census: dict = {}
+    for item in stream(q, s):
+        if restrict and not restrict(item):
+            continue
+        blocks = blocks_of(item)
+        head = head_of(item)
+        if totals is not None:
+            totals[head, len(blocks)] = totals.get((head, len(blocks)), 0) + 1
+        tally_gamma(census, (head,), blocks, sign(item), leader_split)
+    return census
+
+
+def enumerate_cf(q: int, s: int, k: int,
+                 ell: Optional[int] = None, m: Optional[int] = None) -> list[Forest]:
+    """Naturally ordered chain forests of [s] with k blocks and weight q.
+
+    With ell and m given, keeps only forests with gamma(F, ell) = m.
+    Returned in canonical order: lexicographic on the flattened element
+    sequence, then on the block length sequence.
+    """
+    return _select(_CF, q, s, k, ell, m, q)
+
+
+def enumerate_cf_refined(q: int, s: int, k: int, ell: int, m: int) -> int:
+    """|CF(q, s, k, ell, m)| by exhaustive enumeration."""
+    return len(enumerate_cf(q, s, k, ell, m))
+
+
+@lru_cache(maxsize=None)
+def cf_census(s: int) -> tuple[dict, dict]:
+    """One pass over all naturally ordered forests of [s].
+
+    Returns (totals, refined) where totals[(q, k)] counts forests and
+    refined[(q, k, ell, m)] additionally classifies by gamma at each
+    position.  Treat the returned dicts as read-only.
+    """
+    totals: dict = {}
+    refined = _census(_CF, 0, s, totals)
+    return totals, refined
+
+
+def enumerate_dcf(q: int, s: int, k: Optional[int] = None,
+                  ell: Optional[int] = None, m: Optional[int] = None,
+                  size_a: Optional[int] = None) -> list[Distinguished]:
+    """Valued A-distinguished forests of [s] with |A| + sum(values) = q.
+
+    Optional filters: block count k, gamma(F, ell) = m, and |A| = size_a.
+    Canonical order: flattened elements, block lengths, values, then A.
+    """
+    return _select(_DCF, q, s, k, ell, m, size_a)
+
+
+def dcf_signed_sum(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
+    """Sum of (-1)^(number of A blocks) over the |A| = i slice of
+    DCF(q, s, k, ell, m)."""
+    return dcf_signed_census(q, s).get((i, k, ell, m), 0)
+
+
+@lru_cache(maxsize=None)
+def dcf_signed_census(q: int, s: int) -> dict:
+    """dict (i, k, ell, m) -> signed count over all of DCF(q, s)."""
+    return _census(_DCF, q, s)
 
 
 def enumerate_cf1(q: int, s: int, k: int, ell: int, m: int) -> list[Forest]:
@@ -485,19 +511,7 @@ def enumerate_cf1(q: int, s: int, k: int, ell: int, m: int) -> list[Forest]:
         raise ValueError(f"need m >= 2, got m={m}")
     if not 0 <= ell <= s - 1:
         raise ValueError(f"need 0 <= ell <= s-1, got ell={ell}")
-    out = []
-    for f in _cf1_forests(s):
-        if len(f) != k:
-            continue
-        if sum(block_weight(b) for b in f[:-1]) + len(f[-1]) != q:
-            continue
-        if gamma(f, ell) != m:
-            continue
-        if not _leader_position_ok(f, k, m, ell):
-            continue
-        out.append(f)
-    out.sort(key=_canonical_key)
-    return out
+    return _select(_CF1, q, s, k, ell, m, q)
 
 
 def cf1_count(q: int, s: int, k: int, ell: int, m: int) -> int:
@@ -509,11 +523,7 @@ def cf1_count(q: int, s: int, k: int, ell: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def cf1_census(u: int) -> dict:
     """dict (q, k, ell, m) -> count of the leader-1 forests of [u]."""
-    census: dict = {}
-    for f in _cf1_forests(u):
-        q = sum(block_weight(b) for b in f[:-1]) + len(f[-1])
-        tally_gamma(census, (q,), f, leader_split=True)
-    return census
+    return _census(_CF1, 0, u)
 
 
 def enumerate_dcf1(q: int, s: int, k: int, ell: int, m: int,
@@ -524,21 +534,7 @@ def enumerate_dcf1(q: int, s: int, k: int, ell: int, m: int,
     containing 1, and the leader of the (k-m+2)-th block at position
     ell+2.
     """
-    out = []
-    for d in _dcf_iter(q, s, need_one=True):
-        if len(d.blocks) != k:
-            continue
-        if gamma(d.blocks, ell) != m:
-            continue
-        if size_a is not None and len(d.aset) != size_a:
-            continue
-        if not _leader_position_ok(d.blocks, k, m, ell):
-            continue
-        if d.values[-1] != 0:  # 1 is in A, so it leads the last block
-            continue
-        out.append(d)
-    out.sort(key=_dcf_sort_key)
-    return out
+    return _select(_DCF1, q, s, k, ell, m, size_a)
 
 
 def dcf1_signed_sum(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
@@ -550,13 +546,7 @@ def dcf1_signed_sum(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
 @lru_cache(maxsize=None)
 def dcf1_signed_census(q: int, s: int) -> dict:
     """dict (i, k, ell, m) -> signed count for the leader-1 restriction."""
-    agg: dict = {}
-    for d in _dcf_iter(q, s, need_one=True):
-        if d.values[-1] != 0:  # 1 is in A, so it leads the last block
-            continue
-        sign = -1 if (distinguished_block_count(d) - 1) % 2 else 1
-        tally_gamma(agg, (len(d.aset),), d.blocks, sign, leader_split=True)
-    return agg
+    return _census(_DCF1, q, s)
 
 
 # ---------------------------------------------------------------------------

@@ -196,36 +196,40 @@ def phi_trace(d: Distinguished) -> list[str]:
 # reversal
 
 
+def _snapshot(valued: Valued, j: int) -> AlgorithmState:
+    """The snapshot whose last j blocks are processed completely: P is the
+    weight contributors plus the elements of those blocks, and L lists
+    unprocessed then processed elements, each in natural order."""
+    blocks, values = valued
+    processed = {x for b in blocks for x in b if x < b[0]}
+    for b in blocks[len(blocks) - j:]:
+        processed.update(b)
+    return AlgorithmState(blocks, values, frozenset(processed),
+                          _order(blocks, processed))
+
+
 def reconstruct_state(valued: Valued, q1: int) -> AlgorithmState:
     """Recover P and L for a snapshot of a run with total value budget q1.
 
     The split index j (number of trailing all-processed blocks) is the
     unique one balancing weight, block sizes, and remaining values against
-    q1; P is the weight contributors plus the elements of those trailing
-    blocks, and L lists unprocessed then processed elements, each in
-    natural order.  Raises ReverseError when no split index works.
+    q1; the snapshot is then built by _snapshot.  Raises ReverseError when
+    no split index works.
     """
     blocks, values = valued
     r = len(blocks)
     weights = [block_weight(b) for b in blocks]
-    vsum = sum(values)
-    j = None
-    for cand in range(r + 1):
-        lhs = sum(weights[:r - cand]) + sum(len(b) for b in blocks[r - cand:]) + vsum
-        if lhs == q1:
-            j = cand
+    for j in range(r + 1):
+        if sum(weights[:r - j]) + sum(len(b) for b in blocks[r - j:]) + sum(values) == q1:
             break
-    if j is None:
+    else:
         raise ReverseError(f"no split index balances the budget {q1}")
-    processed = {x for b in blocks for x in b if x < b[0]}
-    for b in blocks[r - j:]:
-        if not _is_min_led(b):
-            raise ReverseError("a trailing all-processed block has nonzero weight")
-        processed.update(b)
-    if j < r and blocks[r - j - 1] and set(blocks[r - j - 1]) <= processed:
+    if not all(_is_min_led(b) for b in blocks[r - j:]):
+        raise ReverseError("a trailing all-processed block has nonzero weight")
+    state = _snapshot(valued, j)
+    if j < r and blocks[r - j - 1] and set(blocks[r - j - 1]) <= state.processed:
         raise ReverseError("split index inconsistent with the processed set")
-    return AlgorithmState(blocks, values, frozenset(processed),
-                          _order(blocks, processed))
+    return state
 
 
 def reverse_step(state: AlgorithmState, q1: int) -> AlgorithmState:
@@ -317,15 +321,13 @@ def image_check(d: Distinguished, q: int, k: Optional[int] = None,
     r = len(bpart)
     weights = [block_weight(b) for b in bpart]
     rest = len(aset) + sum(values[split:])
-    j = None
-    for cand in range(r + 1):
-        lhs = (sum(weights[:r - cand])
-               + sum(len(b) + values[i] for i, b in enumerate(bpart) if i >= r - cand)
+    for j in range(r + 1):
+        lhs = (sum(weights[:r - j])
+               + sum(len(b) + values[i] for i, b in enumerate(bpart) if i >= r - j)
                + rest)
         if lhs == q:
-            j = cand
             break
-    if j is None:
+    else:
         return _reject("condition 4: no split index balances the budget")
     suffix = bpart[r - j:]
     if not all(_is_min_led(b) for b in suffix):
@@ -358,7 +360,8 @@ def phi_inverse(d: Distinguished, q: int) -> Distinguished:
         raise ValueError(f"not in the image of phi: {verdict.reason}")
     nondist, dist = _split_parts(d, len(d.blocks) - distinguished_block_count(d))
     q1 = q - len(d.aset) - sum(dist.values)
-    state = reconstruct_state(nondist, q1)
+    # image_check found the split index and checked the trailing blocks
+    state = _snapshot(nondist, verdict.j)
     while state.processed:
         state = reverse_step(state, q1)
     return Distinguished(state.blocks + dist.blocks,

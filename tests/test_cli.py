@@ -88,6 +88,13 @@ class TestCache:
         assert code == 0 and first == second
         assert "corrupt" in err
 
+    def test_load_returns_the_polynomial(self, tmp_path):
+        from panehr import poly_to_json
+
+        poly = ehr_paving(2, 4, [2])
+        cache.store(tmp_path, "paving", {"r": 2, "n": 4}, poly_to_json(poly))
+        assert cache.load(tmp_path, "paving", {"r": 2, "n": 4}) == poly
+
     def test_version_in_key(self, tmp_path):
         key = cache.cache_key("panhandle", {"r": 1, "s": 1, "n": 2})
         from panehr import __version__
@@ -166,6 +173,18 @@ class TestVerify:
         assert code == 2
         assert "panehr: error:" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ("--max-s", "1", "--max-q", "0", "--jobs", "0"),
+        ("--max-s", "-1"),
+    ], ids=["jobs-0", "negative-bound"])
+    def test_rejected_run_leaves_the_csv_file_alone(self, capsys, tmp_path, flags):
+        csv_path = tmp_path / "keep.csv"
+        csv_path.write_text("kept\n")
+        code, out, err = run(capsys, "verify", "phi", *flags, "--csv", str(csv_path))
+        assert code == 2
+        assert "panehr: error:" in err
+        assert csv_path.read_text() == "kept\n"
 
     def test_bound_guard(self, capsys):
         code, _, err = run(capsys, "verify", "identity-main", "--max-s", "9")

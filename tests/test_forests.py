@@ -262,6 +262,52 @@ class TestDCF1:
                                     forests.upper_term_formula(q, s, k, ell, m, i)
 
 
+class TestFamilies:
+    # each keep mode of the chain generator against the matching filter of
+    # the brute-force generator, one naturally ordered forest per chain set
+    KEEP_MODES = {
+        "none": (lambda elems: (), lambda f: True),
+        "every-leader": (lambda elems: elems,
+                         lambda f: all(b[0] == min(b) for b in f)),
+        "one": (lambda elems: {1}, lambda f: all(b[0] == 1 for b in f if 1 in b)),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(KEEP_MODES))
+    def test_chain_sets_keep_modes(self, mode):
+        make_keep, wanted = self.KEEP_MODES[mode]
+        for s in range(1, 7):
+            elems = tuple(range(1, s + 1))
+            made = [tuple(sorted(cs)) for cs in forests._chain_sets(elems, make_keep(elems))]
+            assert len(made) == len(set(made))
+            assert set(made) == {f for f in all_ordered_chain_forests(elems)
+                                 if is_naturally_ordered(f) and wanted(f)}
+
+    @pytest.mark.parametrize("family", ["cf", "cf1", "dcf", "dcf1"])
+    def test_enumerator_agrees_with_census(self, family):
+        for s in range(1, 6):
+            for q in range(0, 4):
+                for k in range(1, s + 1):
+                    for ell in range(s):
+                        for m in range(1, k + 1):
+                            if family == "cf":
+                                assert len(enumerate_cf(q, s, k, ell, m)) == \
+                                    forests.cf_census(s)[1].get((q, k, ell, m), 0)
+                            elif family == "cf1":
+                                listed = enumerate_cf1(q, s, k, ell, m) if m >= 2 else []
+                                assert len(listed) == \
+                                    forests.cf1_census(s).get((q, k, ell, m), 0)
+                            else:
+                                # sign (-1)^(A blocks), or (-1)^(A blocks - 1) for dcf1
+                                enum, signed_sum, shift = (
+                                    (enumerate_dcf, dcf_signed_sum, 0) if family == "dcf"
+                                    else (enumerate_dcf1, dcf1_signed_sum, 1))
+                                for i in range(q + 1):
+                                    listed = enum(q, s, k, ell, m, size_a=i)
+                                    assert sum((-1) ** (forests.distinguished_block_count(d)
+                                                        - shift) for d in listed) == \
+                                        signed_sum(q, s, k, ell, m, i)
+
+
 class TestTextFormat:
     def test_forest(self):
         assert format_forest(((1, 3), (4, 2), (5,))) == "[1,3][4,2][5]"

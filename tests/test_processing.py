@@ -221,6 +221,32 @@ class TestPhiInverse:
         assert bijection.actual.startswith("image rejected: [2,1]|A={}: ")
         assert bijection.actual.endswith("condition 4: no split index balances the budget")
 
+    def test_split_index_matches_reconstruct_state(self):
+        # the j phi_inverse takes from image_check is the number of trailing
+        # all-processed blocks that reconstruct_state's own search finds
+        for s in range(1, 6):
+            for q in range(0, 5):
+                for d in forests.iter_dcf(q, s):
+                    image = phi(d)
+                    split = len(image.blocks) - forests.distinguished_block_count(image)
+                    nondist = Valued(image.blocks[:split], image.values[:split])
+                    q1 = q - len(image.aset) - sum(image.values[split:])
+                    state = reconstruct_state(nondist, q1)
+                    trailing = 0
+                    while trailing < split and state.processed.issuperset(
+                            nondist.blocks[split - 1 - trailing]):
+                        trailing += 1
+                    assert image_check(image, q).j == trailing, d
+
+    def test_builds_from_the_checked_split_index(self, monkeypatch):
+        from panehr import processing
+
+        def not_expected(*args):
+            raise AssertionError("phi_inverse searched for the split index again")
+
+        monkeypatch.setattr(processing, "reconstruct_state", not_expected)
+        assert phi_inverse(phi(EXAMPLE_ONE), 3) == EXAMPLE_ONE
+
 
 class TestImageCheck:
     def test_accepts_plain_weight_zero(self):
