@@ -15,6 +15,7 @@ from .exactmath import (
     Polynomial,
     binom_poly,
     binomial,
+    interpolate,
     pi_range,
     poly_eval,
     poly_from_json,
@@ -67,7 +68,6 @@ from .ehrhart import (
 from .oracle import (
     count_points_panhandle,
     count_points_paving,
-    interpolate,
 )
 
 __all__ = [

@@ -9,8 +9,10 @@ is deterministic given --no-color; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -115,10 +117,8 @@ def cmd_verify(args) -> int:
                 return 2
             bounds[key] = value
     try:
-        # opening the --csv file truncates it, so the run's own checks come
-        # first; it is opened before the run, so an unwritable path fails fast
         campaigns.campaign_bounds(args.campaign, bounds, args.jobs)
-        csv_file = open(args.csv, "w", newline="") if args.csv else None
+        csv_file = _open_csv_temp(args.csv) if args.csv else None
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -129,12 +129,16 @@ def cmd_verify(args) -> int:
         report = campaigns.run_campaign_report(args.campaign, bounds, jobs=args.jobs)
         if csv_file:
             _write_csv(csv_file, report.rows)
+            csv_file.close()
+            os.replace(csv_file.name, args.csv)
     except ValueError as exc:
         _err(str(exc))
         return 2
     finally:
         if csv_file:
             csv_file.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(csv_file.name)
     print(f"campaign: {report.campaign}")
     print("bounds: " + " ".join(f"{k}={v}" for k, v in report.bounds))
     print(f"tuples: {len(report.rows)}")
@@ -146,6 +150,15 @@ def cmd_verify(args) -> int:
     print("result: " + _color(verdict, "32" if report.passed else "31", use_color))
     print(f"elapsed: {report.wall_time:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1
+
+
+def _open_csv_temp(path: Path):
+    """An empty file next to path that holds the rows until the run is over
+    and is then renamed onto path, so a rejected run leaves path as it was.
+    Opening it before the run makes an unwritable directory fail fast."""
+    if path.is_dir():
+        raise IsADirectoryError(f"is a directory: '{path}'")
+    return open(path.with_name(f".{path.name}.{os.getpid()}.tmp"), "w", newline="")
 
 
 def _write_csv(handle, rows) -> None:

@@ -9,6 +9,14 @@ stacking those corrections under the hypersimplex yields the Ehrhart
 polynomial of a paving matroid from nothing but its rank, ground-set
 size, and hyperplane sizes.
 
+Each closed form (phi_poly, psi_poly, ehr_panhandle, the relaxation
+correction and the hypersimplex) is built the same way: its formula is
+evaluated at t = 0, 1, ..., one point beyond its degree bound, with int
+arithmetic, and exactmath.interpolate turns the values into the
+polynomial once, raising AssertionError (also under python -O) when the
+extra value is off the interpolant.  No binomial polynomial is ever
+multiplied out.
+
 All arithmetic is exact; every formula here is certified elsewhere
 against direct lattice-point counts.
 """
@@ -16,11 +24,10 @@ against direct lattice-point counts.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .exactmath import ONE, ZERO, Polynomial, binom_poly, binomial, poly_leq
+from .exactmath import ONE, ZERO, Polynomial, binomial, interpolate, poly_leq
 from .forests import upper_term_formula
 
 
@@ -48,21 +55,42 @@ def validate_paving(r: int, n: int, hyperplane_sizes: Sequence[int]) -> None:
             raise ValueError(f"hyperplane size {size} outside [{r}, {n - 1}]")
 
 
-def _factor_poly(r: int, s: int, n: int, shift: int) -> Polynomial:
+def _interpolated(value: Callable[[int], int], degree: int) -> Polynomial:
+    """The polynomial of degree at most `degree` taking value(t) at every
+    integer t.  It samples t = 0..degree+1, one point beyond what the degree
+    needs, and raises when that point is off the interpolant, so a wrong
+    degree bound cannot yield a plausible wrong polynomial."""
+    samples = [(t, value(t)) for t in range(degree + 2)]
+    try:
+        return interpolate(samples, degree)
+    except ValueError as exc:
+        raise AssertionError(f"closed form: {exc}") from exc
+
+
+def _factor(r: int, s: int, n: int, shift: int) -> Callable[[int], int]:
     """Double sum behind phi_poly (shift 0) and psi_poly (shift 1, which
-    lowers the first binomial argument by one)."""
+    lowers the first binomial argument by one), as a function of the
+    integer t."""
+    weights = [math.factorial(n - 2 - ell) * math.factorial(ell) for ell in range(s)]
+    signs = [(-1) ** i * binomial(s, i) for i in range(s - r + 1)]
+
+    def value(t: int) -> int:
+        total = 0
+        for i, sign in enumerate(signs):
+            alpha = s - r - i
+            first = (alpha + 1) * t + s - 1 - shift - i
+            second = alpha * t + s - 1 - i
+            total += sign * sum(w * binomial(first - ell, s - 1 - ell) * binomial(second, ell)
+                                for ell, w in enumerate(weights))
+        return total
+
+    return value
+
+
+def _factor_poly(r: int, s: int, n: int, shift: int) -> Polynomial:
+    """phi_poly (shift 0) or psi_poly (shift 1); degree at most s-1."""
     validate_panhandle(r, s, n)
-    total = Polynomial()
-    for i in range(s - r + 1):
-        sign = (-1) ** i * binomial(s, i)
-        inner = Polynomial()
-        for ell in range(s):
-            w = math.factorial(n - 2 - ell) * math.factorial(ell)
-            first = binom_poly(s - r - i + 1, s - 1 - shift - ell - i, s - 1 - ell)
-            second = binom_poly(s - r - i, s - 1 - i, ell)
-            inner = inner + (w * first) * second
-        total = total + sign * inner
-    return total
+    return _interpolated(_factor(r, s, n, shift), s - 1)
 
 
 @lru_cache(maxsize=None)
@@ -85,12 +113,28 @@ def psi_poly(r: int, s: int, n: int) -> Polynomial:
     return _factor_poly(r, s, n, 1)
 
 
+def _panhandle_form(r: int, s: int, n: int, shift: int) -> Polynomial:
+    """(n-s)/(n-1)! * C(t + n-s-shift, n-s) times the double sum of the
+    same shift: ehr_panhandle for shift 0, relaxation_correction for
+    shift 1; degree at most n-1."""
+    validate_panhandle(r, s, n)
+    factor = _factor(r, s, n, shift)
+    scale = math.factorial(n - 1)
+
+    def value(t: int) -> int:
+        # a lattice-point count (shift 0) or a difference of two (shift 1)
+        count, rest = divmod((n - s) * binomial(t + n - s - shift, n - s) * factor(t), scale)
+        if rest:
+            raise AssertionError(f"closed form is not an integer at t={t}")
+        return count
+
+    return _interpolated(value, n - 1)
+
+
 @lru_cache(maxsize=None)
 def ehr_panhandle(r: int, s: int, n: int) -> Polynomial:
     """Ehrhart polynomial of the panhandle polytope Pan(r, s, n)."""
-    validate_panhandle(r, s, n)
-    prefactor = Fraction(n - s, math.factorial(n - 1))
-    poly = prefactor * binom_poly(1, n - s, n - s) * phi_poly(r, s, n)
+    poly = _panhandle_form(r, s, n, 0)
     if poly.degree != n - 1:
         raise AssertionError("panhandle Ehrhart polynomial has wrong degree")
     if poly.coefficient(0) != 1:
@@ -104,11 +148,10 @@ def _hypersimplex(r: int, n: int) -> Polynomial:
     r = 0 and r = n."""
     if r in (0, n):
         return ONE
-    total = Polynomial()
-    for j in range(r):
-        total = total + ((-1) ** j * binomial(n, j)) * \
-            binom_poly(r - j, n - 1 - j, n - 1)
-    return total
+    return _interpolated(
+        lambda t: sum((-1) ** j * binomial(n, j) * binomial((r - j) * t + n - 1 - j, n - 1)
+                      for j in range(r)),
+        n - 1)
 
 
 def ehr_hypersimplex(r: int, n: int) -> Polynomial:
@@ -137,12 +180,11 @@ def ehr_product_simplex(r: int, s: int, n: int) -> Polynomial:
     return _hypersimplex(r - 1, s) * _hypersimplex(1, n - s)
 
 
+@lru_cache(maxsize=None)
 def relaxation_correction(r: int, s: int, n: int) -> Polynomial:
     """Ehrhart difference contributed by relaxing one stressed hyperplane
     of size s in a rank-r matroid on [n]."""
-    validate_panhandle(r, s, n)
-    prefactor = Fraction(n - s, math.factorial(n - 1))
-    return prefactor * binom_poly(1, n - s - 1, n - s) * psi_poly(r, s, n)
+    return _panhandle_form(r, s, n, 1)
 
 
 def ehr_paving(r: int, n: int, hyperplane_sizes: Sequence[int]) -> Polynomial:

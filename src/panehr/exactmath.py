@@ -4,6 +4,12 @@ Every quantity in this package is an integer or an exact rational.
 Integers are Python ints, rationals are fractions.Fraction, and
 polynomials in t are dense ascending coefficient vectors of Fractions.
 There is no floating-point mode.
+
+interpolate is the package's one interpolation routine.  The closed
+forms of ehrhart are built with it: each formula is evaluated at
+t = 0, 1, ... with int arithmetic (binomial takes negative upper
+arguments, as a binomial polynomial in t does) and interpolated once.
+The lattice-point oracle turns its counts into polynomials with it too.
 """
 
 from __future__ import annotations
@@ -165,7 +171,6 @@ class Polynomial:
 
 ZERO = Polynomial()
 ONE = Polynomial([1])
-T = Polynomial([0, 1])
 
 
 def binom_poly(alpha: int, beta: int, d: int) -> Polynomial:
@@ -207,3 +212,74 @@ def poly_to_json(p: Polynomial) -> list[str]:
 def poly_from_json(items: Sequence[str]) -> Polynomial:
     """Inverse of poly_to_json; round-trips bit-exactly."""
     return Polynomial(Fraction(s) for s in items)
+
+
+def interpolate(samples: Sequence[tuple[Scalar, Scalar]], degree: int) -> Polynomial:
+    """Unique polynomial of the stated degree through the samples.
+
+    Needs at least degree+1 distinct sample points; any extra samples must
+    lie on the interpolating polynomial, otherwise the data was not
+    produced by a polynomial of that degree and a ValueError is raised.
+    Samples at consecutive integers go through integer forward
+    differences; any other points through Newton divided differences over
+    exact rationals.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    seen: dict[Scalar, Scalar] = {}
+    for x, y in samples:
+        if x in seen and seen[x] != y:
+            raise ValueError(f"contradictory samples at t={x}")
+        seen[x] = y
+    if len(seen) < degree + 1:
+        raise ValueError(
+            f"need at least {degree + 1} distinct samples, got {len(seen)}")
+    xs = sorted(seen)
+    if xs == [xs[0] + k for k in range(len(xs))]:
+        return _interpolate_consecutive(xs[0], [seen[x] for x in xs], degree)
+    xs = xs[:degree + 1]
+    ys = [Fraction(seen[x]) for x in xs]
+    coeffs = list(ys)
+    for level in range(1, degree + 1):
+        for i in range(degree, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    poly = Polynomial()
+    basis = Polynomial([1])
+    for i, c in enumerate(coeffs):
+        poly = poly + c * basis
+        basis = basis * Polynomial([-xs[i], 1])
+    for x, y in seen.items():
+        if poly.evaluate(x) != y:
+            raise _mismatch(degree, x)
+    return poly
+
+
+def _interpolate_consecutive(x0: Scalar, ys: Sequence[Scalar], degree: int) -> Polynomial:
+    """interpolate for samples ys at x0, x0+1, ...: the Newton forward form
+    sum_k (Delta^k y_0) C(t - x0, k), expanded over the common denominator
+    degree!.  Every difference of order degree+1 must vanish."""
+    diffs = []
+    row = list(ys)
+    for _ in range(degree + 1):
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for j, excess in enumerate(row):
+        if excess:
+            # the samples before this one lie on the interpolant
+            raise _mismatch(degree, x0 + j + degree + 1)
+    scale = math.factorial(degree)
+    numer = [0] * (degree + 1)
+    basis = [1]  # (t - x0)(t - x0 - 1)...(t - x0 - k + 1), ascending in t
+    for k, d in enumerate(diffs):
+        weight = d * (scale // math.factorial(k))
+        for i, b in enumerate(basis):
+            numer[i] += weight * b
+        root = x0 + k
+        basis = [-root * basis[0]] + [basis[i - 1] - root * basis[i]
+                                      for i in range(1, len(basis))] + [basis[-1]]
+    return Polynomial(Fraction(c, scale) for c in numer)
+
+
+def _mismatch(degree: int, x: Scalar) -> ValueError:
+    return ValueError(f"samples are not a polynomial of degree {degree}: "
+                      f"mismatch at t={x}")

@@ -1,19 +1,18 @@
 """Formula-independent ground truth: direct lattice-point counts.
 
 Counts integer points in dilates of the panhandle, hypersimplex, and
-sliced (paving) polytopes by dynamic programming over coordinates, plus
-exact polynomial interpolation through the counts.  Nothing here shares
-code with the closed-form engine, so agreement between the two is a real
-certificate.
+sliced (paving) polytopes by dynamic programming over coordinates.  No
+count shares code with the closed-form engine, so agreement between the
+two is a real certificate.  Counts become polynomials through
+exactmath.interpolate (re-exported here), the routine the closed forms
+use too, so the evidence of an agreement is the counts themselves.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
-from .exactmath import Polynomial
+from .exactmath import interpolate  # re-exported as oracle.interpolate
 
 
 def _bounded_sum_counts(coords: int, cap: int) -> list[int]:
@@ -50,16 +49,6 @@ def count_points_panhandle(r: int, s: int, n: int, t: int) -> int:
         head_sum = total - tail_sum
         if head_sum < len(head) and tail_sum < len(tail):
             out += head[head_sum] * tail[tail_sum]
-    return out
-
-
-def count_points_panhandle_slow(r: int, s: int, n: int, t: int) -> int:
-    """Raw enumeration over the whole box; cross-check for small n."""
-    total = r * t
-    out = 0
-    for x in product(range(t + 1), repeat=n):
-        if sum(x) == total and sum(x[s:]) <= t:
-            out += 1
     return out
 
 
@@ -104,55 +93,3 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
                 nxt[nk] = nxt.get(nk, 0) + cnt
         states = nxt
     return sum(cnt for key, cnt in states.items() if key[0] == total)
-
-
-def count_points_paving_slow(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
-                             t: int) -> int:
-    """Raw enumeration cross-check for the sliced count."""
-    total = r * t
-    cap = (r - 1) * t
-    cuts = [sorted(h) for h in hyperplanes]
-    out = 0
-    for x in product(range(t + 1), repeat=n):
-        if sum(x) != total:
-            continue
-        if all(sum(x[i - 1] for i in h) <= cap for h in cuts):
-            out += 1
-    return out
-
-
-def interpolate(samples: Sequence[tuple[int, int]], degree: int) -> Polynomial:
-    """Unique polynomial of the stated degree through the samples.
-
-    Needs at least degree+1 distinct sample points; any extra samples must
-    lie on the interpolating polynomial, otherwise the data was not
-    produced by a polynomial of that degree and a ValueError is raised.
-    Newton divided differences over exact rationals.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    seen: dict[int, int] = {}
-    for x, y in samples:
-        if x in seen and seen[x] != y:
-            raise ValueError(f"contradictory samples at t={x}")
-        seen[x] = y
-    if len(seen) < degree + 1:
-        raise ValueError(
-            f"need at least {degree + 1} distinct samples, got {len(seen)}")
-    xs = sorted(seen)[:degree + 1]
-    ys = [Fraction(seen[x]) for x in xs]
-    coeffs = list(ys)
-    for level in range(1, degree + 1):
-        for i in range(degree, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = Polynomial()
-    basis = Polynomial([1])
-    for i, c in enumerate(coeffs):
-        poly = poly + c * basis
-        basis = basis * Polynomial([-xs[i], 1])
-    for x, y in seen.items():
-        if poly.evaluate(x) != y:
-            raise ValueError(
-                f"samples are not a polynomial of degree {degree}: "
-                f"mismatch at t={x}")
-    return poly

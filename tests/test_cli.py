@@ -186,6 +186,38 @@ class TestVerify:
         assert "panehr: error:" in err
         assert csv_path.read_text() == "kept\n"
 
+    def test_empty_run_leaves_the_csv_file_alone(self, capsys, tmp_path):
+        # the empty run is rejected only once the campaign is over
+        csv_path = tmp_path / "keep.csv"
+        csv_path.write_text("kept\n")
+        code, out, err = run(capsys, "verify", "phi", "--max-s", "0", "--csv", str(csv_path))
+        assert code == 2
+        assert "checks no tuples" in err
+        assert csv_path.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [csv_path]
+
+    def test_csv_replaced_once_the_run_is_over(self, capsys, tmp_path):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("old\n")
+        code, out, _ = run(capsys, "verify", "identity-lah", "--max-s", "2",
+                           "--max-q", "1", "--csv", str(csv_path), "--no-color")
+        assert code == 0
+        assert csv_path.read_text().splitlines()[0].endswith("expected,actual,ok")
+        assert list(tmp_path.iterdir()) == [csv_path]
+
+    def test_csv_path_that_is_a_directory(self, capsys, tmp_path, monkeypatch):
+        from panehr import campaigns
+
+        def not_expected(*args, **kwargs):
+            raise RuntimeError("the campaign ran")
+
+        monkeypatch.setattr(campaigns, "run_campaign_report", not_expected)
+        code, out, err = run(capsys, "verify", "identity-lah", "--max-s", "2",
+                             "--max-q", "1", "--csv", str(tmp_path))
+        assert code == 2
+        assert "cannot write the --csv file" in err
+        assert out == ""
+
     def test_bound_guard(self, capsys):
         code, _, err = run(capsys, "verify", "identity-main", "--max-s", "9")
         assert code == 2

@@ -1,9 +1,18 @@
 """Unit tests for the closed-form polynomial engine."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+from panehr import ehrhart
 from panehr.exactmath import Polynomial, binom_poly, binomial, poly_leq
 from panehr.ehrhart import (
     check_relaxation_positivity,
@@ -208,3 +217,120 @@ def test_validate_panhandle_messages():
         validate_panhandle(3, 2, 5)
     with pytest.raises(ValueError, match="s <= n-1"):
         validate_panhandle(1, 3, 3)
+
+
+# Reference engine: each closed form as a product of binomial polynomials
+# with Fraction coefficients, the way the formulas read; ehrhart evaluates
+# them at integer t and interpolates instead.
+
+@lru_cache(maxsize=None)
+def reference_factor(r, s, n, shift):
+    total = Polynomial()
+    for i in range(s - r + 1):
+        inner = Polynomial()
+        for ell in range(s):
+            w = factorial(n - 2 - ell) * factorial(ell)
+            first = binom_poly(s - r - i + 1, s - 1 - shift - ell - i, s - 1 - ell)
+            second = binom_poly(s - r - i, s - 1 - i, ell)
+            inner = inner + (w * first) * second
+        total = total + (-1) ** i * binomial(s, i) * inner
+    return total
+
+
+@lru_cache(maxsize=None)
+def reference_panhandle_form(r, s, n, shift):
+    """ehr_panhandle (shift 0) and relaxation_correction (shift 1)."""
+    return (Fraction(n - s, factorial(n - 1)) * binom_poly(1, n - s - shift, n - s)
+            * reference_factor(r, s, n, shift))
+
+
+def reference_hypersimplex(r, n):
+    total = Polynomial()
+    for j in range(r):
+        total = total + ((-1) ** j * binomial(n, j)) * binom_poly(r - j, n - 1 - j, n - 1)
+    return total
+
+
+class TestEngineAgainstProducts:
+    def test_panhandle_forms(self):
+        for n in range(2, 11):
+            for s in range(1, n):
+                for r in range(1, s + 1):
+                    assert phi_poly(r, s, n) == reference_factor(r, s, n, 0), (r, s, n)
+                    assert psi_poly(r, s, n) == reference_factor(r, s, n, 1), (r, s, n)
+                    assert ehr_panhandle(r, s, n) == reference_panhandle_form(r, s, n, 0)
+                    assert relaxation_correction(r, s, n) == \
+                        reference_panhandle_form(r, s, n, 1), (r, s, n)
+
+    def test_hypersimplex_and_paving(self):
+        for n in range(2, 11):
+            for r in range(1, n):
+                uniform = reference_hypersimplex(r, n)
+                assert ehr_hypersimplex(r, n) == uniform, (r, n)
+                for sizes in combinations_with_replacement(range(r, n), 2):
+                    expected = uniform
+                    for size in sizes:
+                        expected = expected - reference_panhandle_form(r, size, n, 1)
+                    assert ehr_paving(r, n, sizes) == expected, (r, n, sizes)
+
+
+ENGINE_CHECKS = """
+import json, sys
+from panehr import ehrhart
+
+real = ehrhart.interpolate
+
+
+def tampered(samples, degree):
+    # moves the one sample beyond the degree bound off the interpolant
+    *head, (t, y) = samples
+    return real(head + [(t, y + 1)], degree)
+
+
+out = {"optimize": sys.flags.optimize}
+ehrhart.interpolate = tampered
+for name, call in [("phi", lambda: ehrhart.phi_poly.__wrapped__(2, 4, 6)),
+                   ("psi", lambda: ehrhart.psi_poly.__wrapped__(2, 4, 6)),
+                   ("panhandle", lambda: ehrhart.ehr_panhandle.__wrapped__(2, 4, 6)),
+                   ("relaxation", lambda: ehrhart.relaxation_correction.__wrapped__(2, 4, 6)),
+                   ("hypersimplex", lambda: ehrhart._hypersimplex.__wrapped__(2, 6))]:
+    try:
+        out[name] = str(call())
+    except AssertionError as exc:
+        out[name] = str(exc)
+ehrhart.interpolate = real
+try:
+    out["low"] = str(ehrhart._interpolated(lambda t: t ** 3, 2))
+except AssertionError as exc:
+    out["low"] = str(exc)
+real_factor = ehrhart._factor
+ehrhart._factor = lambda *args: (lambda t, f=real_factor(*args): f(t) + 1)
+try:
+    out["integer"] = str(ehrhart.ehr_panhandle.__wrapped__(2, 4, 6))
+except AssertionError as exc:
+    out["integer"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_sample_off_the_interpolant_raises(optimize):
+    # python -O strips assert statements; the engine's checks must still raise
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    flags = ["-O"] if optimize else []
+    done = subprocess.run([sys.executable, *flags, "-c", ENGINE_CHECKS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(done.stdout)
+    assert out.pop("optimize") == int(optimize)
+    # phi/psi sample t = 0..s (s = 4), the degree n-1 forms t = 0..n (n = 6)
+    assert out == {
+        "phi": "closed form: samples are not a polynomial of degree 3: mismatch at t=4",
+        "psi": "closed form: samples are not a polynomial of degree 3: mismatch at t=4",
+        "panhandle": "closed form: samples are not a polynomial of degree 5: mismatch at t=6",
+        "relaxation": "closed form: samples are not a polynomial of degree 5: mismatch at t=6",
+        "hypersimplex": "closed form: samples are not a polynomial of degree 5: mismatch at t=6",
+        "low": "closed form: samples are not a polynomial of degree 2: mismatch at t=3",
+        "integer": "closed form is not an integer at t=0",
+    }

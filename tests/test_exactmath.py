@@ -12,6 +12,7 @@ from panehr.exactmath import (
     Polynomial,
     binom_poly,
     binomial,
+    interpolate,
     pi_range,
     poly_eval,
     poly_from_json,
@@ -202,3 +203,22 @@ def test_json_round_trip(p):
 def test_evaluation_is_ring_morphism(p, q, t):
     assert poly_eval(p * q, t) == poly_eval(p, t) * poly_eval(q, t)
     assert poly_eval(p + q, t) == poly_eval(p, t) + poly_eval(q, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=2))
+def test_interpolate_paths_agree(p, x0, extra):
+    # consecutive samples take the forward-difference path, every other
+    # point set the divided-difference path
+    degree = max(p.degree, 0)
+    xs = range(x0, x0 + degree + 1 + extra)
+    assert interpolate([(x, poly_eval(p, x)) for x in xs], degree) == p
+    spread = [x0 + 2 * k for k in range(degree + 1 + extra)]
+    assert interpolate([(x, poly_eval(p, x)) for x in spread], degree) == p
+
+
+@pytest.mark.parametrize("xs", [range(-2, 4), [-3, -1, 0, 1, 2, 4]], ids=["consecutive", "spread"])
+def test_interpolate_names_the_first_sample_off(xs):
+    samples = [(x, x ** 3 + (x >= 2)) for x in xs]
+    with pytest.raises(ValueError, match="degree 3: mismatch at t=2$"):
+        interpolate(samples, 3)

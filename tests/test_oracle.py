@@ -1,17 +1,41 @@
 """Unit tests for the lattice-point counting oracle and interpolation."""
 
+from itertools import product
+
 import pytest
 
 from panehr.exactmath import Polynomial
 from panehr.ehrhart import ehr_hypersimplex, ehr_panhandle, ehr_paving
 from panehr.oracle import (
     count_points_panhandle,
-    count_points_panhandle_slow,
     count_points_paving,
-    count_points_paving_slow,
     interpolate,
 )
 from panehr.exactmath import binomial
+
+
+def count_points_panhandle_slow(r, s, n, t):
+    """Raw enumeration over the whole box; cross-check for small n."""
+    total = r * t
+    out = 0
+    for x in product(range(t + 1), repeat=n):
+        if sum(x) == total and sum(x[s:]) <= t:
+            out += 1
+    return out
+
+
+def count_points_paving_slow(r, n, hyperplanes, t):
+    """Raw enumeration cross-check for the sliced count."""
+    total = r * t
+    cap = (r - 1) * t
+    cuts = [sorted(h) for h in hyperplanes]
+    out = 0
+    for x in product(range(t + 1), repeat=n):
+        if sum(x) != total:
+            continue
+        if all(sum(x[i - 1] for i in h) <= cap for h in cuts):
+            out += 1
+    return out
 
 
 class TestPanhandleCounts:
