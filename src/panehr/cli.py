@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, cache, campaigns, ehrhart, forests, oracle
-from .exactmath import Polynomial, poly_to_json
+from .exactmath import poly_to_json
 
 
 def _err(msg: str) -> None:
@@ -45,16 +45,18 @@ class Family(NamedTuple):
 
     flags: tuple[str, ...]              # required parameters, in call order
     validate: Callable[..., None]       # raises ValueError on bad parameters
-    compute: Callable[..., Polynomial]
+    compute: str                        # the ehrhart function, looked up per call
     sized: bool = False                 # takes --hyperplane-sizes as a last argument
 
 
+# compute names the function rather than holding it, so that a replaced
+# ehrhart attribute (a tracer's wrapper, a test's stub) is the one called
 FAMILIES: dict[str, Family] = {
-    "panhandle": Family(("r", "s", "n"), ehrhart.validate_panhandle, ehrhart.ehr_panhandle),
-    "paving": Family(("r", "n"), ehrhart.validate_paving, ehrhart.ehr_paving, sized=True),
-    "hypersimplex": Family(("r", "n"), ehrhart.validate_rank, ehrhart.ehr_hypersimplex),
-    "phi": Family(("r", "s", "n"), ehrhart.validate_panhandle, ehrhart.phi_poly),
-    "psi": Family(("r", "s", "n"), ehrhart.validate_panhandle, ehrhart.psi_poly),
+    "panhandle": Family(("r", "s", "n"), ehrhart.validate_panhandle, "ehr_panhandle"),
+    "paving": Family(("r", "n"), ehrhart.validate_paving, "ehr_paving", sized=True),
+    "hypersimplex": Family(("r", "n"), ehrhart.validate_rank, "ehr_hypersimplex"),
+    "phi": Family(("r", "s", "n"), ehrhart.validate_panhandle, "phi_poly"),
+    "psi": Family(("r", "s", "n"), ehrhart.validate_panhandle, "psi_poly"),
 }
 COMPUTE_FAMILIES = tuple(FAMILIES)
 
@@ -90,7 +92,7 @@ def cmd_compute(args) -> int:
             print(f"panehr: cache hit for {cache.cache_key(args.family, params)}",
                   file=sys.stderr)
         else:
-            poly = FAMILIES[args.family].compute(*call)
+            poly = getattr(ehrhart, FAMILIES[args.family].compute)(*call)
             if not args.no_cache:
                 cache.store(cache_dir, args.family, params, poly_to_json(poly))
     except ValueError as exc:

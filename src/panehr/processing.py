@@ -14,12 +14,37 @@ explicitly characterized image (image_check).  The sign-reversing map
 involution_f pairs off distinguished forests with an odd number of A
 blocks against those with an even number, which is the cancellation that
 reduces the alternating closed form to an honest count.
+
+One private kernel, _Run, carries every run, forward and backward.  It
+holds the non-A part as one flat element list with fixed block offsets
+(a step keeps every block length, so only the element at a position
+changes), the block values, a processed flag per element, and a rank per
+element whose increasing order is L.  A step sorts only the shifted tail
+by rank and rewrites it in place, and moving the leader to the end of L
+is one rank assignment; an unstep does the same with the canonical rank
+x + size * processed.  An AlgorithmState is built only for a trace or for
+a caller of process_step, reverse_step, reconstruct_state or
+run_processing; process_step and reverse_step load the caller's snapshot,
+its own order L included, and take one step.
+
+Where each check runs, every one an explicit raise that stays on under
+python -O: _Run.step raises when the leader is not minimal in the shifted
+tail and when elements are not processed in increasing order, then checks
+the four step invariants (leaders increasing along L, each leader minimal
+in its block along L, every weight contributor processed, every processed
+element a weight contributor or in an all-processed block).  It checks
+them on every block for the first step of a run and for process_step, and
+from the block before the target on for every later step, which is exact
+because the blocks in front of the target and their ranks do not change.
+_Run.run checks that processed count plus remaining values is conserved,
+_phi checks the block length sequence, _Run.unstep raises the four
+ReverseErrors of reverse_step, and reconstruct_state the three of the
+split-index search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Collection, Iterator, NamedTuple, Optional
 
 from .forests import (
@@ -63,91 +88,205 @@ def initial_state(valued: Valued) -> AlgorithmState:
     return AlgorithmState(valued.blocks, valued.values, frozenset(), tuple(elements))
 
 
-def _order(blocks: Forest, processed: Collection[int]) -> tuple[int, ...]:
-    """The order L of a snapshot: unprocessed elements, then processed
-    ones, each in natural order."""
-    everything = sorted(flatten(blocks))
-    return tuple([e for e in everything if e not in processed]
-                 + [e for e in everything if e in processed])
+class _Run:
+    """The non-A part of one run of the processing map, held mutably.
 
+    elems is the forest flattened; block i is elems[a:b] for (a, b) =
+    bounds[i], and the offsets never move because a step keeps every
+    block length.  values lists the block values, done[x] says whether the
+    element x is processed, stack lists the processed elements in
+    increasing order, and L lists the elements by increasing rank[x].  A
+    step gives its leader the next rank top, which puts it at the end of L;
+    an unstep keeps the canonical rank x + size * done[x], with size =
+    len(done): unprocessed elements, then processed ones, each in natural
+    order.  start is where the search for the next target begins: blocks
+    in front of a target stay ineligible for the rest of a run.  Elements
+    are positive integers, as in every forest of [s].
+    """
 
-def _rotate_tail(state: AlgorithmState, target: int, step: int
-                 ) -> tuple[list[int], Forest]:
-    """Move every element of the blocks from target on by step places,
-    cyclically, along the order L; returns that tail sorted by L and the
-    new blocks."""
-    rank = {e: i for i, e in enumerate(state.order)}
-    tail = sorted((x for b in state.blocks[target:] for x in b), key=rank.get)
-    shift = {x: tail[(i + step) % len(tail)] for i, x in enumerate(tail)}
-    return tail, tuple(state.blocks[:target]) + tuple(
-        tuple(shift[x] for x in b) for b in state.blocks[target:])
+    __slots__ = ("elems", "bounds", "values", "done", "rank", "top", "stack", "start")
 
+    def __init__(self, blocks: Forest, values, processed: Collection[int] = ()) -> None:
+        self.elems = elems = [x for b in blocks for x in b]
+        self.bounds = bounds = []
+        a = 0
+        for block in blocks:
+            bounds.append((a, a + len(block)))
+            a += len(block)
+        self.values = list(values)
+        size = max(elems, default=0) + 1
+        self.done = done = [False] * size
+        for x in processed:
+            done[x] = True
+        self.stack = sorted(processed)
+        self.top = 2 * size
+        self.start = 0
+        self.rank_canonically()
 
-def _assert_step_invariants(state: AlgorithmState) -> None:
-    """Runtime checks that hold after every iteration of the algorithm;
-    they raise AssertionError and stay on under python -O."""
-    rank = {e: i for i, e in enumerate(state.order)}
-    leaders = [b[0] for b in state.blocks]
-    if not all(rank[leaders[i]] < rank[leaders[i + 1]] for i in range(len(leaders) - 1)):
-        raise AssertionError("blocks are not increasing by leader in the current order")
-    for b in state.blocks:
-        if min(b, key=rank.get) != b[0]:
+    @classmethod
+    def load(cls, state: AlgorithmState) -> "_Run":
+        """A run resumed from a snapshot, with the snapshot's own order L."""
+        run = cls(state.blocks, state.values, state.processed)
+        for i, x in enumerate(state.order):
+            run.rank[x] = i
+        return run
+
+    @classmethod
+    def at_split(cls, valued: Valued, j: int) -> "_Run":
+        """The snapshot whose last j blocks are processed completely: P is
+        the weight contributors plus the elements of those blocks, and L is
+        canonical."""
+        blocks = valued.blocks
+        processed = [x for b in blocks[:len(blocks) - j] for x in b if x < b[0]]
+        processed += [x for b in blocks[len(blocks) - j:] for x in b]
+        return cls(blocks, valued.values, processed)
+
+    def rank_canonically(self) -> None:
+        size = len(self.done)
+        self.rank = rank = list(range(size))
+        for x in self.stack:
+            rank[x] += size
+
+    def blocks(self) -> Forest:
+        elems = self.elems
+        return tuple([tuple(elems[a:b]) for a, b in self.bounds])
+
+    def snapshot(self) -> AlgorithmState:
+        return AlgorithmState(self.blocks(), tuple(self.values), frozenset(self.stack),
+                              tuple(sorted(self.elems, key=self.rank.__getitem__)))
+
+    def all_done(self, i: int) -> bool:
+        a, b = self.bounds[i]
+        return all(map(self.done.__getitem__, self.elems[a:b]))
+
+    def _shift(self, a: int, step: int) -> list[int]:
+        """Move every element from position a on by step places, cyclically,
+        along L; returns those elements sorted by L, before the move."""
+        elems = self.elems
+        tail = elems[a:]
+        tail.sort(key=self.rank.__getitem__)
+        shift = dict(zip(tail, tail[step:] + tail[:step]))
+        elems[a:] = map(shift.__getitem__, elems[a:])
+        return tail
+
+    def step(self, whole: bool) -> bool:
+        """Apply one iteration; False, with nothing changed, when no block
+        still has a positive value and an unprocessed element.
+
+        The step invariants are checked on every block when whole, else
+        from the block before the target on: the blocks in front of the
+        target and their ranks do not change, so they keep the invariants
+        the previous step checked."""
+        values, bounds, elems, done = self.values, self.bounds, self.elems, self.done
+        for target in range(self.start, len(values)):
+            if values[target] > 0:
+                a, b = bounds[target]
+                if not all(map(done.__getitem__, elems[a:b])):
+                    break
+        else:
+            return False
+        self.start = target
+        leader = elems[a]
+        if self._shift(a, 1)[0] != leader:
+            raise AssertionError("leader is not minimal among the shifted elements")
+        values[target] -= 1
+        stack = self.stack
+        if (stack[-1] if stack else 0) >= leader:
+            raise AssertionError("elements are not processed in increasing order")
+        stack.append(leader)
+        done[leader] = True
+        self.rank[leader] = self.top
+        self.top += 1
+        self._check_invariants(0 if whole else max(target - 1, 0))
+        return True
+
+    def _check_invariants(self, lo: int) -> None:
+        """The invariants that hold after every iteration, on the blocks
+        from lo on; each raises AssertionError and stays on under python -O.
+        A block that is not all processed must have exactly its weight
+        contributors (the elements below its leader) processed."""
+        elems, done, rank = self.elems, self.done, self.rank
+        disordered = unled = weighted = stray = False
+        prev = -1
+        for a, b in self.bounds[lo:]:
+            first = rank[elems[a]]
+            if first <= prev:
+                disordered = True
+            prev = first
+            if b - a == 1:
+                continue  # led by its minimum, and processed as a whole or not
+            block = elems[a:b]
+            leader = block[0]
+            if min(map(rank.__getitem__, block)) != first:
+                unled = True
+            if not all(map(done.__getitem__, block)):
+                for x in block:
+                    if done[x] != (x < leader):
+                        if x < leader:
+                            weighted = True
+                        else:
+                            stray = True
+        if disordered:
+            raise AssertionError("blocks are not increasing by leader in the current order")
+        if unled:
             raise AssertionError(
                 "a block leader is not minimal in its block under the current order")
-    contributors = {x for b in state.blocks for x in b if x < b[0]}
-    if not contributors <= state.processed:
-        raise AssertionError("an unprocessed element contributes weight")
-    for p in state.processed:
-        blk = next(b for b in state.blocks if p in b)
-        if not (p < blk[0] or all(x in state.processed for x in blk)):
+        if weighted:
+            raise AssertionError("an unprocessed element contributes weight")
+        if stray:
             raise AssertionError("a processed element neither contributes weight "
                                  "nor sits in an all-processed block")
+
+    def run(self, trail: Optional[list[AlgorithmState]] = None) -> None:
+        """Step to the fixed point, appending each new snapshot to trail."""
+        budget = len(self.stack) + sum(self.values)
+        whole = True
+        while self.step(whole):
+            whole = False
+            if len(self.stack) + sum(self.values) != budget:
+                raise AssertionError("processed count plus remaining values is not conserved")
+            if trail is not None:
+                trail.append(self.snapshot())
+
+    def unstep(self, q1: int) -> None:
+        """Undo one iteration of a run with value budget q1."""
+        stack, values, done = self.stack, self.values, self.done
+        if not stack:
+            raise ReverseError("nothing to reverse: no processed elements")
+        if len(stack) + sum(values) != q1:
+            raise ReverseError("snapshot does not match the stated budget")
+        p = stack[-1]
+        for target, (a, _) in enumerate(self.bounds):
+            leader = self.elems[a]
+            if (leader > p and not done[leader]) or (leader <= p and done[leader]):
+                break
+        else:
+            raise ReverseError("no block qualifies as the reversal site")
+        if self._shift(a, -1)[-1] != p:
+            raise ReverseError("last processed element is not maximal in the tail")
+        values[target] += 1
+        stack.pop()
+        done[p] = False
+        self.rank[p] = p
 
 
 def process_step(state: AlgorithmState) -> Optional[AlgorithmState]:
     """Apply one iteration; returns None when no block is eligible.
 
     A block is eligible when it still contains an unprocessed element and
-    its value is positive.
+    its value is positive.  The step follows the snapshot's own order L.
     """
-    target = None
-    for idx, (b, v) in enumerate(zip(state.blocks, state.values)):
-        if v > 0 and any(x not in state.processed for x in b):
-            target = idx
-            break
-    if target is None:
-        return None
-    leader = state.blocks[target][0]
-    tail, new_blocks = _rotate_tail(state, target, 1)
-    if tail[0] != leader:
-        raise AssertionError("leader is not minimal among the shifted elements")
-    new_values = list(state.values)
-    new_values[target] -= 1
-    new_order = tuple(e for e in state.order if e != leader) + (leader,)
-    if max(state.processed, default=0) >= leader:
-        raise AssertionError("elements are not processed in increasing order")
-    new_state = AlgorithmState(new_blocks, tuple(new_values),
-                               state.processed | {leader}, new_order)
-    _assert_step_invariants(new_state)
-    return new_state
+    run = _Run.load(state)
+    return run.snapshot() if run.step(whole=True) else None
 
 
 def run_processing(valued: Valued, collect: bool = False
                    ) -> tuple[AlgorithmState, list[AlgorithmState]]:
     """Run to the fixed point; returns its snapshot and, if collect, all."""
-    state = initial_state(valued)
-    trail = [state] if collect else []
-    budget = sum(valued.values)
-    while True:
-        nxt = process_step(state)
-        if nxt is None:
-            break
-        state = nxt
-        if len(state.processed) + sum(state.values) != budget:
-            raise AssertionError("processed count plus remaining values is not conserved")
-        if collect:
-            trail.append(state)
-    return state, trail
+    run = _Run(valued.blocks, valued.values)
+    trail = [run.snapshot()] if collect else None
+    run.run(trail)
+    return run.snapshot(), trail or []
 
 
 def _split_parts(d: Distinguished, split: int) -> tuple[Valued, Valued]:
@@ -158,14 +297,14 @@ def _split_parts(d: Distinguished, split: int) -> tuple[Valued, Valued]:
 def _phi(d: Distinguished, split: int) -> tuple[Distinguished, int]:
     """phi of a checked d whose A blocks start at split, and the image's
     split index j: the number of trailing non-A blocks processed fully."""
-    nondist, dist = _split_parts(d, split)
-    out, _ = run_processing(nondist)
-    result = Distinguished(out.blocks + dist.blocks,
-                           out.values + dist.values, d.aset)
+    run = _Run(d.blocks[:split], d.values[:split])
+    run.run()
+    result = Distinguished(run.blocks() + d.blocks[split:],
+                           tuple(run.values) + d.values[split:], d.aset)
     if tuple(map(len, result.blocks)) != tuple(map(len, d.blocks)):
         raise AssertionError("block length sequence not preserved")
     j = 0
-    while j < split and out.processed.issuperset(out.blocks[split - 1 - j]):
+    while j < split and run.all_done(split - 1 - j):
         j += 1
     return result, j
 
@@ -196,26 +335,19 @@ def phi_trace(d: Distinguished) -> list[str]:
 # reversal
 
 
-def _snapshot(valued: Valued, j: int) -> AlgorithmState:
-    """The snapshot whose last j blocks are processed completely: P is the
-    weight contributors plus the elements of those blocks, and L lists
-    unprocessed then processed elements, each in natural order."""
-    blocks, values = valued
-    processed = {x for b in blocks for x in b if x < b[0]}
-    for b in blocks[len(blocks) - j:]:
-        processed.update(b)
-    return AlgorithmState(blocks, values, frozenset(processed),
-                          _order(blocks, processed))
-
-
 def reconstruct_state(valued: Valued, q1: int) -> AlgorithmState:
     """Recover P and L for a snapshot of a run with total value budget q1.
 
     The split index j (number of trailing all-processed blocks) is the
     unique one balancing weight, block sizes, and remaining values against
-    q1; the snapshot is then built by _snapshot.  Raises ReverseError when
-    no split index works.
+    q1; P is then the weight contributors plus the elements of the last j
+    blocks, and L lists unprocessed then processed elements, each in
+    natural order.  Raises ReverseError when no split index works.
     """
+    return _reconstruct(valued, q1).snapshot()
+
+
+def _reconstruct(valued: Valued, q1: int) -> _Run:
     blocks, values = valued
     r = len(blocks)
     weights = [block_weight(b) for b in blocks]
@@ -226,45 +358,30 @@ def reconstruct_state(valued: Valued, q1: int) -> AlgorithmState:
         raise ReverseError(f"no split index balances the budget {q1}")
     if not all(_is_min_led(b) for b in blocks[r - j:]):
         raise ReverseError("a trailing all-processed block has nonzero weight")
-    state = _snapshot(valued, j)
-    if j < r and blocks[r - j - 1] and set(blocks[r - j - 1]) <= state.processed:
+    run = _Run.at_split(valued, j)
+    if j < r and blocks[r - j - 1] and run.all_done(r - j - 1):
         raise ReverseError("split index inconsistent with the processed set")
-    return state
+    return run
 
 
 def reverse_step(state: AlgorithmState, q1: int) -> AlgorithmState:
-    """Undo one iteration; inverse of process_step on genuine snapshots."""
-    if not state.processed:
-        raise ReverseError("nothing to reverse: no processed elements")
-    if len(state.processed) + sum(state.values) != q1:
-        raise ReverseError("snapshot does not match the stated budget")
-    p = max(state.processed)
-    target = None
-    for idx, b in enumerate(state.blocks):
-        leader = b[0]
-        if (leader > p and leader not in state.processed) or \
-           (leader <= p and leader in state.processed):
-            target = idx
-            break
-    if target is None:
-        raise ReverseError("no block qualifies as the reversal site")
-    tail, new_blocks = _rotate_tail(state, target, -1)
-    if tail[-1] != p:
-        raise ReverseError("last processed element is not maximal in the tail")
-    new_values = list(state.values)
-    new_values[target] += 1
-    processed = state.processed - {p}
-    return AlgorithmState(new_blocks, tuple(new_values), processed,
-                          _order(state.blocks, processed))
+    """Undo one iteration; inverse of process_step on genuine snapshots.
+
+    The tail is shifted along the snapshot's own order L; the result
+    carries the canonical order."""
+    run = _Run.load(state)
+    run.unstep(q1)
+    run.rank_canonically()
+    return run.snapshot()
 
 
 def reverse_trace(valued: Valued, q1: int) -> list[str]:
     """Log of the full reversal, starting from the given snapshot."""
-    state = reconstruct_state(valued, q1)
-    lines = [trace_line(state)]
-    while state.processed:
-        state = reverse_step(state, q1)
-        lines.append(trace_line(state))
+    run = _reconstruct(valued, q1)
+    lines = [trace_line(run.snapshot())]
+    while run.stack:
+        run.unstep(q1)
+        lines.append(trace_line(run.snapshot()))
     return lines
 
 
@@ -361,11 +478,11 @@ def phi_inverse(d: Distinguished, q: int) -> Distinguished:
     nondist, dist = _split_parts(d, len(d.blocks) - distinguished_block_count(d))
     q1 = q - len(d.aset) - sum(dist.values)
     # image_check found the split index and checked the trailing blocks
-    state = _snapshot(nondist, verdict.j)
-    while state.processed:
-        state = reverse_step(state, q1)
-    return Distinguished(state.blocks + dist.blocks,
-                         state.values + dist.values, d.aset)
+    run = _Run.at_split(nondist, verdict.j)
+    while run.stack:
+        run.unstep(q1)
+    return Distinguished(run.blocks() + dist.blocks,
+                         tuple(run.values) + dist.values, d.aset)
 
 
 def enumerate_image_candidates(q: int, s: int) -> Iterator[Distinguished]:

@@ -55,6 +55,21 @@ class TestCompute:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_resolves_the_closed_form_per_call(self, capsys, monkeypatch):
+        # a replaced ehrhart attribute, such as a tracer's wrapper, is the
+        # function the CLI calls
+        from panehr import ehrhart
+
+        calls = []
+        original = ehrhart.ehr_panhandle
+        monkeypatch.setattr(ehrhart, "ehr_panhandle",
+                            lambda *a: calls.append(a) or original(*a))
+        code, out, _ = run(capsys, "compute", "panhandle", "--r", "1", "--s", "1",
+                           "--n", "2", "--json", "--no-cache")
+        assert code == 0
+        assert calls == [(1, 1, 2)]
+        assert out.strip() == '["1","1"]'
+
 
 class TestCache:
     ARGS = ("compute", "panhandle", "--r", "2", "--s", "2", "--n", "4", "--json")

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panehr import forests
-from panehr.forests import Distinguished, Valued, format_distinguished
+from panehr.forests import Distinguished, Valued, format_distinguished, format_valued
 from panehr.processing import (
     AlgorithmState,
     ReverseError,
@@ -27,6 +29,7 @@ from panehr.processing import (
     reverse_step,
     reverse_trace,
     run_processing,
+    trace_line,
 )
 
 EXAMPLE_ONE = Distinguished(((1, 6, 2), (3, 7, 5), (4,)), (2, 1, 0), frozenset())
@@ -106,17 +109,61 @@ class TestPhi:
         assert "\n".join(phi_trace(EXAMPLE_TWO)) == TRACE_TWO
 
 
+# One tampered snapshot per message that process_step (q1 None) and
+# reverse_step (with budget q1) can raise.  Several carry an order L that
+# is not the canonical one, which both steps must follow as given.
+TAMPERED = [
+    (AlgorithmState(((1, 2),), (1,), frozenset(), (2, 1)), None,
+     "leader is not minimal among the shifted elements"),
+    (AlgorithmState(((1, 6, 2), (3, 7, 5), (4,)), (2, 1, 0),
+                    frozenset({5}), (1, 2, 3, 4, 5, 6, 7)), None,
+     "elements are not processed in increasing order"),
+    (AlgorithmState(((1,), (3, 2)), (0, 1), frozenset(), (3, 2, 1)), None,
+     "blocks are not increasing by leader in the current order"),
+    (AlgorithmState(((1,), (2, 3)), (1, 1), frozenset(), (1, 3, 2)), None,
+     "a block leader is not minimal in its block under the current order"),
+    (AlgorithmState(((2, 3, 1),), (1,), frozenset(), (2, 3, 1)), None,
+     "an unprocessed element contributes weight"),
+    (AlgorithmState(((1, 2), (3,)), (0, 2), frozenset({2}), (1, 3, 2)), None,
+     "a processed element neither contributes weight nor sits in an all-processed block"),
+    (AlgorithmState(((1,),), (2,), frozenset(), (1,)), 2,
+     "nothing to reverse: no processed elements"),
+    (AlgorithmState(((1,),), (1,), frozenset({1}), (1,)), 3,
+     "snapshot does not match the stated budget"),
+    (AlgorithmState(((1, 2),), (0,), frozenset({2}), (1, 2)), 1,
+     "no block qualifies as the reversal site"),
+    (AlgorithmState(((2, 1),), (1,), frozenset({1, 2}), (2, 1)), 3,
+     "last processed element is not maximal in the tail"),
+]
+
+
+def raised_message(step, state, q1):
+    """The message step raises on the snapshot, or None."""
+    try:
+        if q1 is None:
+            step(state)
+        else:
+            step(state, q1)
+    except (AssertionError, ReverseError) as exc:
+        return str(exc)
+    return None
+
+
 OPTIMIZED_SCRIPT = """
 import json, sys
 from panehr.forests import Distinguished, Valued
-from panehr.processing import AlgorithmState, phi_trace, process_step, reverse_trace
-tampered = AlgorithmState(((1, 6, 2), (3, 7, 5), (4,)), (2, 1, 0),
-                          frozenset({5}), (1, 2, 3, 4, 5, 6, 7))
-try:
-    process_step(tampered)
-    raised = None
-except AssertionError as exc:
-    raised = str(exc)
+from panehr.processing import (AlgorithmState, ReverseError, phi_trace, process_step,
+                               reverse_step, reverse_trace)
+raised = []
+for state, q1, _ in TAMPERED:
+    try:
+        if q1 is None:
+            process_step(state)
+        else:
+            reverse_step(state, q1)
+        raised.append(None)
+    except (AssertionError, ReverseError) as exc:
+        raised.append(str(exc))
 print(json.dumps({
     "optimize": sys.flags.optimize,
     "raised": raised,
@@ -133,11 +180,12 @@ def test_invariants_survive_optimize():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
+    script = OPTIMIZED_SCRIPT.replace("TAMPERED", repr(TAMPERED), 1)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(done.stdout)
     assert out["optimize"] == 1
-    assert out["raised"] == "elements are not processed in increasing order"
+    assert out["raised"] == [message for _, _, message in TAMPERED]
     assert "\n".join(out["one"]) == TRACE_ONE
     assert "\n".join(out["two"]) == TRACE_TWO
     assert "\n".join(out["reverse"]) == TRACE_REVERSE
@@ -416,3 +464,206 @@ class TestInvolution:
                 assert len(images) == len(minus)
                 assert images <= set(plus)
                 assert len(images) == len(plus)
+
+
+# ---------------------------------------------------------------------------
+# reference engine: the snapshot-per-step loop, one AlgorithmState and one
+# rank dict per step, that the mutable kernel in processing replaced
+
+
+def reference_order(blocks, processed):
+    """Unprocessed elements, then processed ones, each in natural order."""
+    everything = sorted(forests.flatten(blocks))
+    return tuple([e for e in everything if e not in processed]
+                 + [e for e in everything if e in processed])
+
+
+def reference_rotate_tail(state, target, step):
+    rank = {e: i for i, e in enumerate(state.order)}
+    tail = sorted((x for b in state.blocks[target:] for x in b), key=rank.get)
+    shift = {x: tail[(i + step) % len(tail)] for i, x in enumerate(tail)}
+    return tail, tuple(state.blocks[:target]) + tuple(
+        tuple(shift[x] for x in b) for b in state.blocks[target:])
+
+
+def reference_step_invariants(state):
+    rank = {e: i for i, e in enumerate(state.order)}
+    leaders = [b[0] for b in state.blocks]
+    if not all(rank[leaders[i]] < rank[leaders[i + 1]] for i in range(len(leaders) - 1)):
+        raise AssertionError("blocks are not increasing by leader in the current order")
+    for b in state.blocks:
+        if min(b, key=rank.get) != b[0]:
+            raise AssertionError(
+                "a block leader is not minimal in its block under the current order")
+    contributors = {x for b in state.blocks for x in b if x < b[0]}
+    if not contributors <= state.processed:
+        raise AssertionError("an unprocessed element contributes weight")
+    for p in state.processed:
+        blk = next(b for b in state.blocks if p in b)
+        if not (p < blk[0] or all(x in state.processed for x in blk)):
+            raise AssertionError("a processed element neither contributes weight "
+                                 "nor sits in an all-processed block")
+
+
+def reference_process_step(state):
+    target = None
+    for idx, (b, v) in enumerate(zip(state.blocks, state.values)):
+        if v > 0 and any(x not in state.processed for x in b):
+            target = idx
+            break
+    if target is None:
+        return None
+    leader = state.blocks[target][0]
+    tail, new_blocks = reference_rotate_tail(state, target, 1)
+    if tail[0] != leader:
+        raise AssertionError("leader is not minimal among the shifted elements")
+    new_values = list(state.values)
+    new_values[target] -= 1
+    new_order = tuple(e for e in state.order if e != leader) + (leader,)
+    if max(state.processed, default=0) >= leader:
+        raise AssertionError("elements are not processed in increasing order")
+    new_state = AlgorithmState(new_blocks, tuple(new_values),
+                               state.processed | {leader}, new_order)
+    reference_step_invariants(new_state)
+    return new_state
+
+
+def reference_reverse_step(state, q1):
+    if not state.processed:
+        raise ReverseError("nothing to reverse: no processed elements")
+    if len(state.processed) + sum(state.values) != q1:
+        raise ReverseError("snapshot does not match the stated budget")
+    p = max(state.processed)
+    target = None
+    for idx, b in enumerate(state.blocks):
+        leader = b[0]
+        if (leader > p and leader not in state.processed) or \
+           (leader <= p and leader in state.processed):
+            target = idx
+            break
+    if target is None:
+        raise ReverseError("no block qualifies as the reversal site")
+    tail, new_blocks = reference_rotate_tail(state, target, -1)
+    if tail[-1] != p:
+        raise ReverseError("last processed element is not maximal in the tail")
+    new_values = list(state.values)
+    new_values[target] += 1
+    processed = state.processed - {p}
+    return AlgorithmState(new_blocks, tuple(new_values), processed,
+                          reference_order(state.blocks, processed))
+
+
+def reference_trail(valued):
+    """Every snapshot of the forward run, the initial one first."""
+    trail = [initial_state(valued)]
+    while (nxt := reference_process_step(trail[-1])) is not None:
+        trail.append(nxt)
+    return trail
+
+
+def reference_snapshot(valued, j):
+    """The snapshot whose last j blocks are processed completely."""
+    blocks, values = valued
+    processed = {x for b in blocks for x in b if x < b[0]}
+    for b in blocks[len(blocks) - j:]:
+        processed.update(b)
+    return AlgorithmState(blocks, values, frozenset(processed),
+                          reference_order(blocks, processed))
+
+
+def reference_reversal(state, q1):
+    """Every snapshot of the full reversal, the given one first."""
+    trail = [state]
+    while trail[-1].processed:
+        trail.append(reference_reverse_step(trail[-1], q1))
+    return trail
+
+
+def non_a_part(d):
+    split = len(d.blocks) - forests.distinguished_block_count(d)
+    return Valued(d.blocks[:split], d.values[:split]), split
+
+
+def reference_phi(d):
+    nondist, split = non_a_part(d)
+    out = reference_trail(nondist)[-1]
+    return Distinguished(out.blocks + d.blocks[split:], out.values + d.values[split:], d.aset)
+
+
+def reference_phi_inverse(d, q):
+    nondist, split = non_a_part(d)
+    q1 = q - len(d.aset) - sum(d.values[split:])
+    out = reference_reversal(reference_snapshot(nondist, image_check(d, q).j), q1)[-1]
+    return Distinguished(out.blocks + d.blocks[split:], out.values + d.values[split:], d.aset)
+
+
+class TestAgainstReference:
+    def test_kernel_agrees_on_every_small_forest(self):
+        for s in range(0, 6):
+            for q in range(0, 4):
+                for d in forests.iter_dcf(q, s):
+                    image = phi(d)
+                    assert image == reference_phi(d), d
+                    assert phi_inverse(image, q) == reference_phi_inverse(image, q) == d
+                    nondist, _ = non_a_part(d)
+                    forward = reference_trail(nondist)
+                    assert phi_trace(d) == [trace_line(st) for st in forward]
+                    q1 = sum(nondist.values)
+                    for before, after in zip(forward, forward[1:] + [None]):
+                        assert process_step(before) == after
+                        if before.processed:
+                            # a forward snapshot: its order L is not canonical
+                            assert reverse_step(before, q1) == \
+                                reference_reverse_step(before, q1)
+                    back, _ = non_a_part(image)
+                    q1 = q - len(image.aset) - sum(image.values[len(back.blocks):])
+                    reversal = reference_reversal(
+                        reference_snapshot(back, image_check(image, q).j), q1)
+                    assert reverse_trace(back, q1) == [trace_line(st) for st in reversal]
+                    for before, after in zip(reversal, reversal[1:]):
+                        assert reverse_step(before, q1) == after
+
+
+@pytest.mark.parametrize("state,q1,message", TAMPERED,
+                         ids=[message for _, _, message in TAMPERED])
+def test_tampered_snapshot_raises(state, q1, message):
+    from panehr import processing
+
+    if q1 is None:
+        assert raised_message(process_step, state, None) == message
+        assert raised_message(reference_process_step, state, None) == message
+        # a later step of a run checks from the block before the target on,
+        # which still covers every block these snapshots break
+        assert raised_message(lambda st: processing._Run.load(st).step(whole=False),
+                              state, None) == message
+    else:
+        assert raised_message(reverse_step, state, q1) == message
+        assert raised_message(reference_reverse_step, state, q1) == message
+
+
+@st.composite
+def distinguished_forests(draw, max_s=8):
+    """A valued A-distinguished forest of [s], s <= max_s: min-led blocks,
+    the non-A ones increasing by leader, then the A ones decreasing."""
+    s = draw(st.integers(min_value=1, max_value=max_s))
+    perm = draw(st.permutations(range(1, s + 1)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=s - 1)))) if s > 1 else []
+    blocks = [perm[a:b] for a, b in zip([0] + cuts, cuts + [s])]
+    blocks = [tuple([min(b)] + [x for x in b if x != min(b)]) for b in blocks]
+    in_a = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    plain = sorted((b for b, a in zip(blocks, in_a) if not a), key=lambda b: b[0])
+    dist = sorted((b for b, a in zip(blocks, in_a) if a), key=lambda b: -b[0])
+    values = draw(st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=len(blocks), max_size=len(blocks)))
+    return Distinguished(tuple(plain + dist), tuple(values),
+                         frozenset(x for b in dist for x in b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinguished_forests())
+def test_round_trip_on_long_tails(d):
+    image = phi(d)
+    assert image == reference_phi(d)
+    assert phi_inverse(image, len(d.aset) + sum(d.values)) == d
+    nondist, _ = non_a_part(image)
+    assert phi_trace(d)[-1].split(" | ")[0] == format_valued(*nondist)
