@@ -43,15 +43,16 @@ def _warn(msg: str) -> None:
 
 
 def load(cache_dir: Path, family: str, params: dict) -> Optional[Polynomial]:
-    """Return the cached polynomial, or None on miss/corruption."""
-    path = _entry_path(cache_dir, cache_key(family, params))
-    if not path.exists():
-        return None
+    """Return the cached polynomial, or None on miss/corruption.  A missing
+    entry (or cache directory) is a silent miss; an entry that cannot be
+    read or parsed warns."""
+    key = cache_key(family, params)
+    path = _entry_path(cache_dir, key)
     try:
         payload = json.loads(path.read_text())
         if not isinstance(payload, dict):
             raise ValueError("entry is not a JSON object")
-        if payload.get("key") != cache_key(family, params):
+        if payload.get("key") != key:
             _warn(f"stale key in {path.name}, recomputing")
             return None
         coeffs = payload["coefficients"]
@@ -63,6 +64,8 @@ def load(cache_dir: Path, family: str, params: dict) -> Optional[Polynomial]:
         if not poly.coeffs or len(poly.coeffs) != len(coeffs):
             raise ValueError("no nonzero leading coefficient")
         return poly
+    except (FileNotFoundError, NotADirectoryError):
+        return None
     except (OSError, ValueError, KeyError, ZeroDivisionError) as exc:
         _warn(f"ignoring corrupt entry {path.name} ({exc})")
         return None

@@ -4,6 +4,11 @@ Subcommands: compute (closed-form polynomials), verify (identity and
 oracle campaigns), enumerate (combinatorial objects), oracle count
 (direct lattice-point counts), and cache management.  All stdout output
 is deterministic given --no-color; timing goes to stderr.
+
+`main` builds its argparse parser once per process, on its first call,
+and reuses it, so it can be called many times in one process (each call
+parses into a new namespace).  Importing this module builds nothing, and
+help text is still wrapped to the terminal width at the time it prints.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -256,7 +262,10 @@ def cmd_cache(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later
+    one.  Parsing does not change it, and callers must not either."""
     parser = argparse.ArgumentParser(
         prog="panehr",
         description="Exact Ehrhart polynomials of panhandle and paving "
@@ -324,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -158,8 +158,11 @@ def all_ordered_chain_forests(elements: Sequence[int]) -> Iterator[Forest]:
     """
     elems = tuple(elements)
     n = len(elems)
+    if not n:  # the empty ground set has one forest, with no blocks
+        yield ()
+        return
     for perm in permutations(elems):
-        for mask in range(1 << max(n - 1, 0)):
+        for mask in range(1 << (n - 1)):
             cuts = [i for i in range(1, n) if mask >> (i - 1) & 1]
             bounds = [0] + cuts + [n]
             yield tuple(perm[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1))

@@ -1,12 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from panehr import cache
-from panehr.cli import main
+from panehr.cli import build_parser, main
 from panehr.ehrhart import ehr_paving
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -102,6 +109,42 @@ class TestCache:
         code, second, err = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
         assert code == 0 and first == second
         assert "corrupt" in err
+
+    PARAMS = {"r": 2, "s": 2, "n": 4}
+
+    def test_missing_entry_is_a_silent_miss(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        for cache_dir in (tmp_path, tmp_path / "absent", not_a_dir):
+            assert cache.load(cache_dir, "panhandle", self.PARAMS) is None
+        assert capsys.readouterr().err == ""
+
+    def test_entry_vanishing_before_the_read_is_a_silent_miss(self, capsys, tmp_path,
+                                                              monkeypatch):
+        cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
+
+        def vanished(path, *args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+        monkeypatch.setattr(Path, "read_text", vanished)
+        assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
+        assert capsys.readouterr().err == ""
+
+    def test_directory_at_the_entry_path_warns(self, capsys, tmp_path):
+        key = cache.cache_key("panhandle", self.PARAMS)
+        cache._entry_path(tmp_path, key).mkdir()
+        assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
+        assert "ignoring corrupt entry" in capsys.readouterr().err
+
+    def test_unreadable_entry_warns(self, capsys, tmp_path, monkeypatch):
+        # a permission check cannot stop a privileged user, so the read fails
+        # the way an unreadable file makes it fail
+        cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
+        assert "ignoring corrupt entry" in capsys.readouterr().err
 
     def test_load_returns_the_polynomial(self, tmp_path):
         from panehr import poly_to_json
@@ -348,3 +391,106 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "count", "panhandle", "--r", "1",
                            "--s", "1", "--n", "2")
         assert code == 2 and "--t" in err
+
+
+def _invoke(capsys, parse, argv):
+    """Exit code, stdout and stderr of one CLI call through parse."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_parser_main(argv):
+    args = build_parser.__wrapped__().parse_args(argv)
+    return args.func(args)
+
+
+def _python(*argv):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+class TestOneParser:
+    """main reuses one parser per process; no call may leak into the next."""
+
+    SEQUENCE = (
+        ["compute", "paving", "--r", "3", "--n", "6", "--hyperplane-sizes", "3", "3",
+         "--json", "--no-cache"],
+        ["compute", "paving", "--r", "3", "--n", "6", "--json", "--no-cache"],
+        ["oracle", "count", "paving", "--r", "2", "--n", "4", "--t", "2",
+         "--hyperplane", "1,2,3"],
+        ["oracle", "count", "paving", "--r", "2", "--n", "4", "--t", "2",
+         "--hyperplane", "1,2,3"],
+        ["compute", "nosuch", "--r", "1"],
+        ["compute", "panhandle", "--r", "1", "--s", "1", "--n", "2", "--no-cache"],
+        ["verify", "identity-lah", "--max-s", "2", "--max-q", "1", "--no-color"],
+        ["compute", "panhandle", "--r", "2", "--s", "3", "--n", "5", "--json",
+         "--no-cache"],
+    )
+
+    def test_repeated_calls_match_a_fresh_parser(self, capsys):
+        codes = []
+        for argv in self.SEQUENCE:
+            code, out, err = _invoke(capsys, main, argv)
+            fresh = _invoke(capsys, _fresh_parser_main, argv)
+            assert (code, out) == fresh[:2], argv
+            if code == 2:  # argparse's usage and error text
+                assert err == fresh[2] and "invalid choice" in err
+            codes.append(code)
+        assert codes == [0, 0, 0, 0, 2, 0, 0, 0]
+
+    def test_fifty_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        for _ in range(50):
+            assert main(["cache", "stats", "--cache-dir", "/nonexistent"]) == 0
+        capsys.readouterr()
+        assert built.count("panehr") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"]],
+                             ids=["top", "compute"])
+    def test_help_follows_columns_after_caching(self, capsys, monkeypatch, argv):
+        main(["cache", "stats", "--cache-dir", "/nonexistent"])
+        capsys.readouterr()
+        texts = {}
+        for columns in ("40", "160"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, texts[columns], _ = _invoke(capsys, main, argv)
+            assert code == 0
+            assert texts[columns] == _invoke(capsys, _fresh_parser_main, argv)[1]
+        assert texts["40"] != texts["160"]
+        assert len(texts["40"].splitlines()) > len(texts["160"].splitlines())
+
+
+def test_import_builds_no_parser():
+    script = """
+import argparse, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(parser, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(parser, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import panehr, panehr.cli
+print(json.dumps(built))
+"""
+    assert json.loads(_python("-c", script).stdout) == []
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["compute", "panhandle", "--r", "2", "--s", "3", "--n", "5", "--json",
+            "--no-cache"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert _python("-m", "panehr.cli", *argv).stdout == out

@@ -97,6 +97,10 @@ class TestEnumerateCF:
                      if is_naturally_ordered(f)}
             assert fast == naive
 
+    def test_empty_ground_set_has_one_forest_with_no_blocks(self):
+        assert list(all_ordered_chain_forests(())) == [()]
+        assert list(naturally_ordered_forests(())) == [()]
+
     def test_canonical_order(self):
         out = enumerate_cf(0, 3, 2)
         assert out == sorted(out, key=lambda f: (forests.flatten(f),

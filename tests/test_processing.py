@@ -335,12 +335,19 @@ class TestImageCheck:
                 assert accepted == images, (s, q)
 
     def test_constructive_candidates_match_predicate(self):
-        for s in range(1, 5):
+        for s in range(0, 5):  # s = 0: the one forest with no blocks
             for q in range(0, 4):
                 from_constructor = set(enumerate_image_candidates(q, s))
                 for d in from_constructor:
                     assert image_check(d, q)
                 assert from_constructor == {phi(d) for d in forests.iter_dcf(q, s)}
+
+    @pytest.mark.parametrize("q", range(4))
+    def test_run_phi_on_the_empty_ground_set(self, q):
+        from panehr import campaigns
+
+        rows = campaigns.run_phi(0, q)
+        assert len(rows) == 2 and all(row.ok for row in rows)
 
     def test_class_conditions(self):
         d = Distinguished(((1, 3), (2,), (4,)), (0, 0, 0), frozenset())
