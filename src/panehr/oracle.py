@@ -1,9 +1,14 @@
 """Formula-independent ground truth: direct lattice-point counts.
 
 Counts integer points in dilates of the panhandle, hypersimplex, and
-sliced (paving) polytopes by dynamic programming over coordinates.  No
-count shares code with the closed-form engine, so agreement between the
-two is a real certificate.  Counts become polynomials through
+sliced (paving) polytopes.  The panhandle and hypersimplex counts
+convolve rows of bounded coordinate sums.  The sliced count is a dynamic
+program over Venn atoms, the groups of coordinates lying in the same
+cuts: it drops a cut's sum once the cut's last atom is counted and counts
+the atom outside every cut last, and it holds for any family of cuts, not
+only for the hyperplanes of a paving matroid.  No count shares code with
+the closed-form engine, so agreement between the two is a real
+certificate.  Counts become polynomials through
 exactmath.interpolate (re-exported here), the routine the closed forms
 use too, so the evidence of an agreement is the counts themselves.
 """
@@ -58,38 +63,66 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
 
     Each listed subset H of [n] imposes the cut sum_{i in H} x_i <= (r-1)*t
     (a hyperplane has rank r-1).  An empty list gives the hypersimplex
-    count.  Counted by dynamic programming whose state tracks the running
-    total and the running sum inside each listed subset.
+    count.  The count holds for any family of proper subsets, overlapping,
+    nested, repeated or empty cuts alike, not only for the stressed
+    hyperplanes of a paving matroid.  A rank r < 1 is rejected.
+
+    Counted by dynamic programming over Venn atoms.  The coordinates are
+    grouped by the set of cuts they lie in; inside such an atom only the
+    coordinate sum matters, and an atom of k coordinates contributes the
+    row _bounded_sum_counts(k, t).  The atoms in at least one cut are
+    walked one by one.  A state is the running sum of every open cut (one
+    with some but not all of its atoms counted) and holds its counts by
+    running total.  Once a cut's last atom is counted its sum leaves the
+    state, so states that differ only there merge.  The coordinates in no
+    cut are counted last, by one lookup in their row.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
+    if r < 1:
+        raise ValueError(f"need rank r >= 1, got r={r}")
     cuts = [frozenset(h) for h in hyperplanes]
     for h in cuts:
         if not h <= set(range(1, n + 1)) or len(h) >= n:
             raise ValueError(f"hyperplane {sorted(h)} is not a proper subset of [1..{n}]")
     total = r * t
     cap = (r - 1) * t
-    states: dict[tuple[int, ...], int] = {(0,) * (len(cuts) + 1): 1}
+    atoms: dict[frozenset[int], int] = {}
     for coord in range(1, n + 1):
-        member = [coord in h for h in cuts]
-        nxt: dict[tuple[int, ...], int] = {}
-        for key, cnt in states.items():
-            for x in range(t + 1):
-                tot = key[0] + x
-                if tot > total:
-                    break
-                sums = list(key)
-                sums[0] = tot
-                ok = True
-                for idx, inside in enumerate(member):
-                    if inside:
-                        sums[idx + 1] += x
-                        if sums[idx + 1] > cap:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                nk = tuple(sums)
-                nxt[nk] = nxt.get(nk, 0) + cnt
+        sig = frozenset(c for c, h in enumerate(cuts) if coord in h)
+        atoms[sig] = atoms.get(sig, 0) + 1
+    outside = atoms.pop(frozenset(), 0)
+    # any walk order gives the same count; this one is deterministic
+    order = sorted(atoms, key=sorted)
+    last = {c: k for k, sig in enumerate(order) for c in sig}
+    # key = sums of the cuts in `open_cuts`, in that order; value = counts
+    # indexed by the running total 0..r*t
+    states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * total}
+    open_cuts: list[int] = []
+    for k, sig in enumerate(order):
+        row = _bounded_sum_counts(atoms[sig], t)
+        bounded = [idx for idx, c in enumerate(open_cuts) if c in sig]
+        kept = [idx for idx, c in enumerate(open_cuts) if last[c] > k]
+        opened = sorted(c for c in sig if c not in open_cuts and last[c] > k)
+        # a kept cut grows by y when it contains this atom; a cut opened
+        # here starts at y
+        grows = [(idx, open_cuts[idx] in sig) for idx in kept]
+        top = min(len(row) - 1, total)
+        if not sig <= set(open_cuts):
+            top = min(top, cap)  # a cut entered here starts from sum 0
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for key, by_total in states.items():
+            room = min([top] + [cap - key[idx] for idx in bounded])
+            for y in range(room + 1):
+                nk = (*(key[idx] + y * g for idx, g in grows), *(y,) * len(opened))
+                acc = nxt.get(nk)
+                if acc is None:
+                    acc = nxt[nk] = [0] * (total + 1)
+                weight = row[y]
+                acc[y:] = [a + weight * c for a, c in zip(acc[y:], by_total)]
         states = nxt
-    return sum(cnt for key, cnt in states.items() if key[0] == total)
+        open_cuts = [open_cuts[idx] for idx in kept] + opened
+    (by_total,) = states.values()
+    row_out = _bounded_sum_counts(outside, t)
+    return sum(by_total[tot] * row_out[total - tot] for tot in range(total + 1)
+               if total - tot < len(row_out))

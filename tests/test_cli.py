@@ -368,6 +368,14 @@ class TestOracleCommand:
                            "--n", "4", "--hyperplane", "1,2", "--t", "1")
         assert code == 0 and out.strip() == "5"
 
+    def test_paving_count_three_hyperplanes(self, capsys):
+        code, out, err = run(capsys, "oracle", "count", "paving", "--r", "4",
+                             "--n", "10", "--t", "3",
+                             "--hyperplane", "1,2,3,4,5", "--hyperplane", "5,6,7,8",
+                             "--hyperplane", "1,6,9,10")
+        assert code == 0 and err == ""
+        assert out.strip() == str(ehr_paving(4, 10, [4, 4, 5]).evaluate(3))
+
     @pytest.mark.parametrize("r", ["5", "0"])
     def test_hypersimplex_rank_checked_like_compute(self, capsys, tmp_path, r):
         code, out, err = run(capsys, "oracle", "count", "hypersimplex", "--r", r,

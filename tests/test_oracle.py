@@ -1,5 +1,6 @@
 """Unit tests for the lattice-point counting oracle and interpolation."""
 
+import random
 from itertools import product
 
 import pytest
@@ -105,11 +106,19 @@ class TestPavingCounts:
         with pytest.raises(ValueError):
             count_points_paving(2, 4, [frozenset({1, 2, 3, 4})], 1)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rejects_rank_below_one(self, r):
+        # the empty cut sum <= (r-1)*t < 0 admits no point, so a count of 1
+        # would be a plausible wrong answer
+        assert count_points_paving_slow(r, 3, [frozenset()], 2) == 0
+        with pytest.raises(ValueError, match="r >= 1"):
+            count_points_paving(r, 3, [frozenset()], 2)
+        with pytest.raises(ValueError, match="r >= 1"):
+            count_points_paving(r, 3, [], 0)
+
     def test_formula_equivalence_random_profiles(self):
         # seeded random hyperplane families, pairwise intersections small
         # enough for a paving matroid to exist with exactly those cuts
-        import random
-
         rng = random.Random(20240)
         for _ in range(40):
             n = rng.randint(2, 6)
@@ -139,6 +148,16 @@ class TestPavingCounts:
             (3, 6, [frozenset({1, 2, 3, 4})]),
             (3, 7, [frozenset({1, 2, 3}), frozenset({3, 4, 5})]),
             (4, 7, [frozenset({1, 2, 3, 4}), frozenset({4, 5, 6, 7})]),
+            (3, 8, [frozenset({1, 2, 3}), frozenset({3, 4, 5})]),
+            (4, 8, [frozenset({1, 2, 3, 4}), frozenset({4, 5, 6, 7}),
+                    frozenset({1, 5, 6, 8})]),
+            (3, 9, [frozenset({1, 2, 3, 4}), frozenset({4, 5, 6, 7}),
+                    frozenset({7, 8, 9})]),
+            (4, 9, [frozenset({1, 2, 3, 4, 5}), frozenset({5, 6, 7, 8, 9})]),
+            (3, 10, [frozenset({1, 2, 3, 4}), frozenset({5, 6, 7, 8})]),
+            (5, 10, [frozenset({1, 2, 3, 4, 5, 6}), frozenset({5, 6, 7, 8, 9, 10})]),
+            (4, 10, [frozenset({1, 2, 3, 4, 5}), frozenset({5, 6, 7, 8}),
+                     frozenset({1, 6, 9, 10})]),
         ]
         for r, n, cuts in profiles:
             sizes = sorted(len(h) for h in cuts)
@@ -146,6 +165,70 @@ class TestPavingCounts:
             samples = [(t, count_points_paving(r, n, cuts, t))
                        for t in range(n + 1)]
             assert interpolate(samples, n - 1) == poly, (r, n, cuts)
+
+
+def _broken_family(kind, rng, n):
+    """Cuts that break the paving axioms in the named way, plus up to two
+    random proper subsets of [n]."""
+    ground = range(1, n + 1)
+    a = frozenset(rng.sample(ground, rng.randint(1, n - 1)))
+    if kind == "overlapping":
+        shared = rng.choice(sorted(a))
+        rest = [x for x in ground if x != shared]
+        cuts = [a, frozenset({shared, *rng.sample(rest, rng.randint(0, n - 2))})]
+    elif kind == "nested":
+        cuts = [a, frozenset(rng.sample(sorted(a), rng.randint(0, len(a))))]
+    elif kind == "duplicate":
+        cuts = [a, a]
+    elif kind == "empty":
+        cuts = [frozenset(), a]
+    else:  # a cut that misses one element of [n]
+        cuts = [frozenset(ground) - {rng.randint(1, n)}, a]
+    cuts += [frozenset(rng.sample(ground, rng.randint(0, n - 1)))
+             for _ in range(rng.randint(0, 2))]
+    rng.shuffle(cuts)
+    return cuts
+
+
+def _any_family(rng, n):
+    return [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
+            for _ in range(rng.randint(1, 5))]
+
+
+class TestPavingCountsAnyFamily:
+    """The sliced count holds for any family of proper subsets of [n]."""
+
+    @pytest.mark.parametrize("kind", ["overlapping", "nested", "duplicate",
+                                      "empty", "copoint"])
+    def test_matches_raw_enumeration(self, kind):
+        rng = random.Random(f"broken:{kind}")
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            r = rng.randint(1, n)
+            cuts = _broken_family(kind, rng, n)
+            for t in range(4):
+                assert count_points_paving(r, n, cuts, t) == \
+                    count_points_paving_slow(r, n, cuts, t), (r, n, cuts, t)
+
+    @pytest.mark.parametrize("change", ["reorder", "relabel"])
+    def test_invariant_under_reordering_and_relabelling(self, change):
+        # the same count after shuffling the hyperplane list, or after
+        # relabelling [n] by a permutation
+        rng = random.Random(change)
+        for _ in range(25):
+            n = rng.randint(3, 8)
+            r = rng.randint(1, n - 1)
+            cuts = _any_family(rng, n)
+            t = rng.randint(0, 4)
+            expected = count_points_paving(r, n, cuts, t)
+            for _ in range(3):
+                if change == "reorder":
+                    other = rng.sample(cuts, len(cuts))
+                else:
+                    image = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+                    other = [frozenset(image[x] for x in h) for h in cuts]
+                assert count_points_paving(r, n, other, t) == expected, \
+                    (r, n, cuts, other, t)
 
 
 class TestInterpolate:
