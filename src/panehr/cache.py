@@ -3,12 +3,14 @@
 One JSON file per entry under the cache directory.  The entry key bakes
 in the family tag, the parameters, and the tool version, so version bumps
 invalidate old entries without touching them.  Writes go through a
-temporary file and an atomic rename; unreadable or unwritable caches
-degrade to plain recomputation with a warning on stderr.
+temporary file and an atomic rename, and a failed write removes its
+temporary file; unreadable or unwritable caches degrade to plain
+recomputation with a warning on stderr.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -72,7 +74,8 @@ def load(cache_dir: Path, family: str, params: dict) -> Optional[Polynomial]:
 
 
 def store(cache_dir: Path, family: str, params: dict, coeffs: list[str]) -> None:
-    """Write an entry atomically; degrade silently to no-cache on failure."""
+    """Write an entry atomically; on failure, warn naming the error, remove
+    the temporary file and continue without the cache."""
     key = cache_key(family, params)
     payload = {
         "key": key,
@@ -86,11 +89,20 @@ def store(cache_dir: Path, family: str, params: dict, coeffs: list[str]) -> None
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except OSError as exc:
+        _warn(f"cache directory not writable, continuing without cache ({exc})")
+        return
+    try:
         with os.fdopen(fd, "w") as handle:
             json.dump(payload, handle, indent=1)
         os.replace(tmp, path)
-    except OSError as exc:
-        _warn(f"cache directory not writable, continuing without cache ({exc})")
+    except BaseException as exc:
+        # the temporary file never outlives a failed write
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
+        _warn(f"could not write entry {path.name}, continuing without cache ({exc})")
 
 
 def clear(cache_dir: Path) -> int:

@@ -214,23 +214,24 @@ def run_involution(s: int, q: int) -> list[Row]:
     per-class cardinality matches, which together force the alternating
     sum to collapse onto the plain count.
     """
-    minus: list = []
-    plus_count: dict = {}
-    minus_count: dict = {}
-    plain_count: dict = {}
-    classes: dict = {}
+    minus = 0
+    problems: list[str] = []
+    seen = set()
+    # (side, block lengths) -> number of forests; the class (k, gamma at
+    # every position) of a forest is fixed by its block lengths
+    buckets: dict = {}
     for d in forests.iter_dcf(q, s):
         if processing.negative_side(d):
-            minus.append(d)
-            side = minus_count
+            side = "minus"
         elif processing.positive_side(d):
-            side = plus_count
+            side = "plus"
         else:
-            side = plain_count
-        classes[d] = (len(d.blocks), forests.tally_gamma(side, (), d.blocks))
-    problems = []
-    seen = set()
-    for d in minus:
+            side = "plain"
+        lengths = tuple(map(len, d.blocks))
+        buckets[side, lengths] = buckets.get((side, lengths), 0) + 1
+        if side != "minus":
+            continue
+        minus += 1
         try:
             y = processing.involution_f(d)
             on_plus = y not in seen and processing.positive_side(y)
@@ -243,19 +244,22 @@ def run_involution(s: int, q: int) -> list[Row]:
         seen.add(y)
         if not on_plus:
             problems.append(f"image not on plus side: {forests.format_distinguished(y)}")
-        if (len(y.blocks), forests.gamma_vector(y.blocks)) != classes[d]:
+        if tuple(map(len, y.blocks)) != lengths:
             problems.append(f"class changed at {forests.format_distinguished(d)}")
+    counts: dict = {}
+    for (side, lengths), weight in buckets.items():
+        forests.tally_gamma(counts, (side,), lengths, weight)
     rows = [_bool_row({"s": s, "q": q, "check": "injective-into-plus"},
                       not problems,
-                      f"{len(minus)} minus-side elements pair off",
-                      problems[0] if problems else f"{len(minus)} verified")]
+                      f"{minus} minus-side elements pair off",
+                      problems[0] if problems else f"{minus} verified")]
     _, refined = forests.cf_census(s)
-    detail = _first_mismatch(s, lambda c: minus_count.get(c, 0),
-                             lambda c: plus_count.get(c, 0))
+    detail = _first_mismatch(s, lambda c: counts.get(("minus", *c), 0),
+                             lambda c: counts.get(("plus", *c), 0))
     rows.append(_bool_row({"s": s, "q": q, "check": "cancellation"},
                           not detail, "per-class |minus| == |plus|",
                           detail or "balanced"))
-    detail = _first_mismatch(s, lambda c: plain_count.get(c, 0),
+    detail = _first_mismatch(s, lambda c: counts.get(("plain", *c), 0),
                              lambda c: refined.get((q, *c), 0))
     rows.append(_bool_row({"s": s, "q": q, "check": "plain-residue"},
                           not detail, "plain representatives count the forests",
@@ -323,10 +327,21 @@ def run_positivity(n: int) -> list[Row]:
     return rows
 
 
+# fixed stressed-hyperplane families, n -> (r, hyperplanes), whose lattice
+# counts the explicit bounds units compare with ehr_paving; each meets the
+# paving axioms |H| >= r and |H & H'| <= r - 2
+EXPLICIT_PAVING = {
+    4: (2, (frozenset({1, 2}),)),
+    6: (3, (frozenset({1, 2, 3, 4}), frozenset({4, 5, 6}))),
+    7: (3, (frozenset({1, 2, 3}), frozenset({3, 4, 5}), frozenset({1, 5, 6, 7}))),
+    8: (4, (frozenset({1, 2, 3, 4, 5}), frozenset({4, 5, 6, 7}), frozenset({1, 2, 6, 8}))),
+}
+
+
 def units_bounds(max_n: int, max_paving_n: int) -> list[dict]:
     return ([{"kind": "sandwich", "n": n} for n in range(2, max_n + 1)]
             + [{"kind": "paving", "n": n} for n in range(2, max_paving_n + 1)]
-            + [{"kind": "explicit", "n": 4}])
+            + [{"kind": "explicit", "n": n} for n in EXPLICIT_PAVING])
 
 
 def run_bounds(kind: str, n: int) -> list[Row]:
@@ -353,10 +368,12 @@ def run_bounds(kind: str, n: int) -> list[Row]:
                          "check": "paving<=uniform"},
                         poly_leq(poly, upper), str(poly), str(upper)))
     elif kind == "explicit":
-        poly = ehrhart.ehr_paving(2, 4, [2])
-        for t in range(5):
-            counted = oracle.count_points_paving(2, 4, [frozenset({1, 2})], t)
-            rows.append(_row({"r": 2, "n": 4, "H": "{1,2}", "t": t},
+        r, cuts = EXPLICIT_PAVING[n]
+        poly = ehrhart.ehr_paving(r, n, sorted(map(len, cuts)))
+        label = "+".join("{" + ",".join(map(str, sorted(h))) + "}" for h in cuts)
+        for t in range(n + 1):
+            counted = oracle.count_points_paving(r, n, cuts, t)
+            rows.append(_row({"r": r, "n": n, "H": label, "t": t},
                              counted, poly.evaluate(t)))
     else:
         raise ValueError(f"unknown bounds unit kind {kind!r}")

@@ -14,15 +14,20 @@ block has weight 0.
 
 The enumerators here are deliberately exhaustive; they serve as the
 ground truth against which the closed-form counting expressions (also in
-this module) are verified.
+this module) are verified.  The censuses still visit every object, but
+tally it only by its head statistic and block-length sequence: k, gamma at
+each position and the leader-position test depend on nothing else, so
+each distinct (head, lengths) bucket is expanded into its (k, ell, m)
+cells once, after the stream ends.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from operator import attrgetter
-from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional, Sequence
+from typing import (Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .exactmath import binomial, pi_range
 
@@ -325,13 +330,17 @@ def _dcf_sort_key(d: Distinguished) -> tuple:
 # the leader-1 variants used for the coefficient upper bound
 
 
-def _leader_position_ok(blocks: Forest, k: int, m: int, ell: int) -> bool:
-    """Leader of the (k-m+2)-th block sits at flattened position ell+2."""
-    idx = k - m + 2
-    if not 1 <= idx <= len(blocks):
-        return False
-    start = 1 + sum(len(blocks[i]) for i in range(idx - 1))
-    return start == ell + 2
+def _leader_starts(lengths: Iterable[int]) -> list[int]:
+    """Prefix sums of the block lengths: entry j is the 0-based flattened
+    position of the leader of block j, and the last entry is s."""
+    return list(accumulate(lengths, initial=0))
+
+
+def _leader_position_ok(starts: Sequence[int], m: int, ell: int) -> bool:
+    """Leader of the (k-m+2)-th block sits at 1-based flattened position
+    ell+2, where starts = _leader_starts(lengths) of a k-block forest."""
+    idx = len(starts) - m  # the 1-based index k-m+2, 0-based
+    return 0 <= idx < len(starts) - 1 and starts[idx] == ell + 1
 
 
 def _cf1_forests(u: int) -> Iterator[Forest]:
@@ -405,7 +414,8 @@ def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int
             continue
         if head is not None and family.head(item) != head:
             continue
-        if family.leader_split and not _leader_position_ok(blocks, k, m, ell):
+        if family.leader_split and not _leader_position_ok(
+                _leader_starts(map(len, blocks)), m, ell):
             continue
         if family.restrict and not family.restrict(item):
             continue
@@ -414,38 +424,53 @@ def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int
     return out
 
 
-def tally_gamma(census: dict, head: tuple, blocks: Forest,
-                weight: int = 1, leader_split: bool = False) -> tuple[int, ...]:
-    """Add weight to census[head + (k, ell, m)] at every position ell, where
-    k is the block count and m = gamma(blocks, ell); returns the gamma vector.
+def tally_gamma(census: dict, head: tuple, lengths: Sequence[int],
+                weight: int = 1, leader_split: bool = False) -> None:
+    """Add weight to census[head + (k, ell, m)] at every position ell of a
+    forest with the given block lengths, where k is the block count and
+    m = gamma(F, ell).  Every cell is written, even when weight is 0.
 
-    With leader_split, only positions where the leader of the (k-m+2)-th
-    block sits at ell+2 are counted (the leader-1 censuses).
+    Each position inside block j (0-based) has m = k - j, so the lengths
+    are all this needs.  With leader_split, only positions where the
+    leader of the (k-m+2)-th block sits at ell+2 are counted (the leader-1
+    censuses), tested on one prefix-sum list per call.
     """
-    k = len(blocks)
-    gvec = gamma_vector(blocks)
-    for ell, m in enumerate(gvec):
-        if leader_split and not _leader_position_ok(blocks, k, m, ell):
-            continue
-        key = head + (k, ell, m)
-        census[key] = census.get(key, 0) + weight
-    return gvec
+    k = len(lengths)
+    starts = _leader_starts(lengths)
+    for j in range(k):
+        m = k - j
+        for ell in range(starts[j], starts[j + 1]):
+            if leader_split and not _leader_position_ok(starts, m, ell):
+                continue
+            key = head + (k, ell, m)
+            census[key] = census.get(key, 0) + weight
 
 
 def _census(family: _Family, q: int, s: int, totals: Optional[dict] = None) -> dict:
     """dict (head, k, ell, m) -> signed count of the family's objects for
     (q, s) that meet its restriction; with totals, also counts those
-    objects by (head, k) there."""
+    objects by (head, k) there.
+
+    The head statistic, k, gamma and the leader-position test read only
+    the block-length sequence, so the stream is tallied in two passes: the
+    first sums each object's sign into a bucket keyed by (head, lengths),
+    the second expands every bucket once through tally_gamma, including a
+    bucket whose signs cancel to 0, so that its cells are still present.
+    """
     stream, blocks_of, head_of, sign, restrict, leader_split, _ = family
-    census: dict = {}
+    buckets: dict = {}
     for item in stream(q, s):
         if restrict and not restrict(item):
             continue
         blocks = blocks_of(item)
         head = head_of(item)
+        key = (head, tuple(map(len, blocks)))
+        buckets[key] = buckets.get(key, 0) + sign(item)
         if totals is not None:
             totals[head, len(blocks)] = totals.get((head, len(blocks)), 0) + 1
-        tally_gamma(census, (head,), blocks, sign(item), leader_split)
+    census: dict = {}
+    for (head, lengths), weight in buckets.items():
+        tally_gamma(census, (head,), lengths, weight, leader_split)
     return census
 
 
@@ -518,8 +543,11 @@ def enumerate_cf1(q: int, s: int, k: int, ell: int, m: int) -> list[Forest]:
 
 
 def cf1_count(q: int, s: int, k: int, ell: int, m: int) -> int:
+    """|enumerate_cf1(q, s, k, ell, m)|, read from the census of [s]."""
     if m < 2:
         raise ValueError(f"need m >= 2, got m={m}")
+    if not 0 <= ell <= s - 1:
+        raise ValueError(f"need 0 <= ell <= s-1, got ell={ell}")
     return cf1_census(s).get((q, k, ell, m), 0)
 
 

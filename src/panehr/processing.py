@@ -54,6 +54,7 @@ from .forests import (
     _a_split,
     _is_min_led,
     _leader_position_ok,
+    _leader_starts,
     all_ordered_chain_forests,
     block_weight,
     check_distinguished,
@@ -461,7 +462,7 @@ def image_check(d: Distinguished, q: int, k: Optional[int] = None,
         return _reject(f"condition 5: expected {k} blocks, found {len(blocks)}")
     if ell is not None and gamma(blocks, ell) != m:
         return _reject(f"condition 5: gamma at {ell} is {gamma(blocks, ell)}, expected {m}")
-    if upper and not _leader_position_ok(blocks, len(blocks), m, ell):
+    if upper and not _leader_position_ok(_leader_starts(map(len, blocks)), m, ell):
         return _reject("upper condition: block leader not at the required position")
     return CheckResult(True, j, None)
 

@@ -135,6 +135,29 @@ class TestCache:
         assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
         assert "ignoring corrupt entry" in capsys.readouterr().err
 
+    def test_failed_store_leaves_no_temporary_file(self, capsys, tmp_path):
+        key = cache.cache_key("panhandle", self.PARAMS)
+        cache._entry_path(tmp_path, key).mkdir()
+        cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
+        err = capsys.readouterr().err
+        assert "could not write entry" in err and "directory not writable" not in err
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_encoding_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not serialisable")
+        monkeypatch.setattr(cache.json, "dump", broken)
+        with pytest.raises(TypeError):
+            cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_under_a_file_warns_about_the_directory(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        cache.store(not_a_dir, "panhandle", self.PARAMS, ["1", "1"])
+        assert "cache directory not writable" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_unreadable_entry_warns(self, capsys, tmp_path, monkeypatch):
         # a permission check cannot stop a privileged user, so the read fails
         # the way an unreadable file makes it fail

@@ -200,6 +200,12 @@ class TestCF1:
         with pytest.raises(ValueError):
             cf1_count(1, 2, 2, 0, 1)
 
+    @pytest.mark.parametrize("ell", [-1, 3, 7])
+    def test_rejects_position_outside_the_forest(self, ell):
+        for query in (enumerate_cf1, cf1_count):
+            with pytest.raises(ValueError, match="need 0 <= ell <= s-1"):
+                query(0, 3, 2, ell, 2)
+
     def test_budget_below_one_is_empty(self):
         assert cf1_count(0, 2, 2, 0, 2) == 0
 
@@ -310,6 +316,64 @@ class TestFamilies:
                                     assert sum((-1) ** (forests.distinguished_block_count(d)
                                                         - shift) for d in listed) == \
                                         signed_sum(q, s, k, ell, m, i)
+
+
+def _per_object_census(family, q, s, totals=None):
+    """The census tallied object by object: each object visits every
+    position, with the leader-position test spelled out on its blocks."""
+    census = {}
+    for item in family.stream(q, s):
+        if family.restrict and not family.restrict(item):
+            continue
+        blocks = family.blocks(item)
+        head, k = family.head(item), len(blocks)
+        if totals is not None:
+            totals[head, k] = totals.get((head, k), 0) + 1
+        for ell, m in enumerate(forests.gamma_vector(blocks)):
+            if family.leader_split:
+                idx = k - m + 2
+                if not 1 <= idx <= k or 1 + sum(map(len, blocks[:idx - 1])) != ell + 2:
+                    continue
+            key = (head, k, ell, m)
+            census[key] = census.get(key, 0) + family.sign(item)
+    return census
+
+
+class TestCensusAgainstPerObjectTally:
+    """The bucketed censuses equal the per-object tally cell for cell,
+    cells whose signed sum is 0 included (dcf_signed_census(2, 4) has two,
+    at (2, 3, 0, 3) and (2, 3, 3, 1))."""
+
+    @pytest.mark.parametrize("s", range(0, 8))
+    def test_cf(self, s):
+        totals = {}
+        refined = _per_object_census(forests._CF, 0, s, totals)
+        assert forests.cf_census(s) == (totals, refined)
+
+    @pytest.mark.parametrize("s", range(0, 8))
+    def test_cf1(self, s):
+        assert forests.cf1_census(s) == _per_object_census(forests._CF1, 0, s)
+
+    @pytest.mark.parametrize("q", range(0, 6))
+    def test_dcf(self, q):
+        for s in range(0, 6):
+            assert forests.dcf_signed_census(q, s) == \
+                _per_object_census(forests._DCF, q, s), s
+
+    @pytest.mark.parametrize("q", range(0, 6))
+    def test_dcf1(self, q):
+        for s in range(0, 6):
+            assert forests.dcf1_signed_census(q, s) == \
+                _per_object_census(forests._DCF1, q, s), s
+
+    def test_bucket_summing_to_zero_is_expanded(self):
+        # in the four families the head and the lengths fix the sign, so no
+        # bucket cancels there; a family with opposite signs in one bucket
+        family = forests._CF._replace(
+            stream=lambda q, s: iter([((1,), (2,)), ((2,), (1,))]),
+            sign=lambda f: 1 if f[0] == (1,) else -1)
+        assert forests._census(family, 0, 2) == _per_object_census(family, 0, 2) == \
+            {(0, 2, 0, 2): 0, (0, 2, 1, 1): 0}
 
 
 class TestTextFormat:

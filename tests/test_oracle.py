@@ -1,10 +1,11 @@
 """Unit tests for the lattice-point counting oracle and interpolation."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from panehr import campaigns
 from panehr.exactmath import Polynomial
 from panehr.ehrhart import ehr_hypersimplex, ehr_panhandle, ehr_paving
 from panehr.oracle import (
@@ -134,6 +135,16 @@ class TestPavingCounts:
             samples = [(t, count_points_paving(r, n, cuts, t))
                        for t in range(n + 1)]
             assert interpolate(samples, n - 1) == poly, (r, n, cuts)
+
+    def test_campaign_families_meet_the_axioms(self):
+        # the families the bounds campaign counts are valid stressed-hyperplane
+        # families, with two and three hyperplanes at n = 6..8 among them
+        for n, (r, cuts) in campaigns.EXPLICIT_PAVING.items():
+            assert 1 <= r <= n - 1
+            assert all(h <= set(range(1, n + 1)) and r <= len(h) <= n - 1 for h in cuts)
+            assert all(len(a & b) <= r - 2 for a, b in combinations(cuts, 2))
+        assert {len(cuts) for n, (_, cuts) in campaigns.EXPLICIT_PAVING.items()
+                if 6 <= n <= 8} == {2, 3}
 
     def test_formula_equivalence_explicit_profiles(self):
         # hyperplane families with pairwise intersections of rank deficit
