@@ -195,7 +195,6 @@ def cmd_enumerate(args) -> int:
     flags, enumerate_kind, line = KINDS[args.kind]
     try:
         _need(args, *flags)
-        _check_query(args)
         items = enumerate_kind(args.q, args.s, args.k, args.ell, args.m)
     except ValueError as exc:
         _err(str(exc))
@@ -206,23 +205,9 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _check_query(args) -> None:
-    if args.q < 0:
-        raise ValueError(f"need q >= 0, got q={args.q}")
-    if not 1 <= args.k <= args.s:
-        raise ValueError(f"need 1 <= k <= s, got k={args.k}, s={args.s}")
-    if args.ell is not None and not 0 <= args.ell <= args.s - 1:
-        raise ValueError(f"need 0 <= ell <= s-1, got ell={args.ell}")
-    if args.m is not None and not 1 <= args.m <= args.k:
-        raise ValueError(f"need 1 <= m <= k, got m={args.m}")
-    if (args.ell is None) != (args.m is None):
-        raise ValueError("--ell and --m must be given together")
-
-
 def cmd_oracle(args) -> int:
     try:
-        if args.t is None or args.t < 0:
-            raise ValueError("need a dilation --t >= 0")
+        _need(args, "t")
         if args.family == "paving":
             cuts = [_parse_hyperplane(spec) for spec in (args.hyperplane or [])]
             # the paving validator checks the sizes of the explicit hyperplanes

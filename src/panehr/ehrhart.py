@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .exactmath import ONE, ZERO, Polynomial, binomial, interpolate, poly_leq
-from .forests import upper_term_formula
+from .forests import _check_query, upper_term_formula
 
 
 def validate_panhandle(r: int, s: int, n: int) -> None:
@@ -208,10 +208,7 @@ def ehr_paving(r: int, n: int, hyperplane_sizes: Sequence[int]) -> Polynomial:
 def upper_expression(q: int, s: int, k: int, ell: int, m: int) -> int:
     """The alternating sum whose nonnegativity gives the coefficientwise
     upper bound; equals the count of the shifted leader-1 forests."""
-    if k < 1 or not 1 <= m <= k or q < 0 or not 0 <= ell <= s - 1:
-        raise ValueError(
-            f"need k >= 1, 1 <= m <= k, q >= 0, 0 <= ell <= s-1, "
-            f"got q={q}, s={s}, k={k}, ell={ell}, m={m}")
+    _check_query(q, s, k, ell, m)
     return sum(upper_term_formula(q, s, k, ell, m, i) for i in range(q + 1))
 
 

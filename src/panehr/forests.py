@@ -19,6 +19,10 @@ tally it only by its head statistic and block-length sequence: k, gamma at
 each position and the leader-position test depend on nothing else, so
 each distinct (head, lengths) bucket is expanded into its (k, ell, m)
 cells once, after the stream ends.
+
+The enumerators and the closed forms own the rules of a query
+(q, s, k, ell, m) and share one check of them: both sides of the identity
+raise the same ValueError, and the command line prints its message.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ def flatten(blocks: Forest) -> tuple[int, ...]:
 
 
 def check_partition(blocks: Forest, s: int) -> None:
-    """Assert that the blocks partition {1, ..., s} exactly."""
+    """Raise ValueError unless the blocks partition {1, ..., s} exactly."""
     seen = flatten(blocks)
     if sorted(seen) != list(range(1, s + 1)):
         raise ValueError(f"blocks do not partition [1..{s}]: {blocks}")
@@ -177,6 +181,29 @@ def all_ordered_chain_forests(elements: Sequence[int]) -> Iterator[Forest]:
 # closed-form counts
 
 
+def _check_query(q: int, s: int, k: Optional[int] = None, ell: Optional[int] = None,
+                 m: Optional[int] = None, min_m: int = 1) -> None:
+    """Raise ValueError at the first broken rule of the query; k, ell and
+    m are checked only when given, m against s when k is not.  min_m = 2
+    adds the rule of the leader-1 forests, checked after the others."""
+    if q < 0:
+        raise ValueError(f"need q >= 0, got q={q}")
+    if k is not None and not 1 <= k <= s:
+        raise ValueError(f"need 1 <= k <= s, got k={k}, s={s}")
+    if ell is not None and not 0 <= ell <= s - 1:
+        raise ValueError(f"need 0 <= ell <= s-1, got ell={ell}")
+    if m is not None and not 1 <= m <= (k or s):
+        raise ValueError(f"need 1 <= m <= k, got m={m}")
+    if m is not None and m < min_m:
+        raise ValueError(f"need m >= {min_m}, got m={m}")
+    _check_pair(ell, m)
+
+
+def _check_pair(ell: Optional[int], m: Optional[int]) -> None:
+    if (ell is None) != (m is None):
+        raise ValueError("ell and m must be given together")
+
+
 def _summand(q: int, s: int, k: int, ell: int, m: int, i: int, shift: int) -> int:
     """The i-th summand of the refined closed form, signs included; shift
     lowers both ends of the first product range (1 for the upper bound)."""
@@ -189,18 +216,14 @@ def _summand(q: int, s: int, k: int, ell: int, m: int, i: int, shift: int) -> in
 def cf_count_formula(q: int, s: int, k: int) -> int:
     """Closed form for |CF(q, s, k)|: an alternating binomial and
     symmetric-sum expression over i = 0..q."""
-    if q < 0 or not 1 <= k <= s:
-        raise ValueError(f"need q >= 0 and 1 <= k <= s, got q={q}, k={k}, s={s}")
-    # every forest of [s] has exactly one trailer after position s-1
+    # every forest of [s] has exactly one trailer after position s-1; the
+    # refined form checks q and k first, and (s-1, 1) is valid once k is
     return cf_refined_formula(q, s, k, s - 1, 1)
 
 
 def cf_refined_formula(q: int, s: int, k: int, ell: int, m: int) -> int:
     """Closed form for |CF(q, s, k, ell, m)| (the refined identity)."""
-    if q < 0 or not 1 <= m <= k <= s or not 0 <= ell <= s - 1:
-        raise ValueError(
-            f"need q >= 0, 1 <= m <= k <= s, 0 <= ell <= s-1, "
-            f"got q={q}, s={s}, k={k}, ell={ell}, m={m}")
+    _check_query(q, s, k, ell, m)
     return sum(_summand(q, s, k, ell, m, i, 0) for i in range(q + 1))
 
 
@@ -403,8 +426,7 @@ def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int
     the given head statistic (a filter given as None is skipped) that meet
     its restriction and, for the leader-1 families, _leader_position_ok; in
     canonical order."""
-    if (ell is None) != (m is None):
-        raise ValueError("ell and m must be given together")
+    _check_query(q, s, k, ell, m)
     out = []
     for item in family.stream(q, s):
         blocks = family.blocks(item)
@@ -535,19 +557,13 @@ def enumerate_cf1(q: int, s: int, k: int, ell: int, m: int) -> list[Forest]:
     position ell+2.  Requires m >= 2 (the position condition forces at
     least two blocks to end after position ell).
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got m={m}")
-    if not 0 <= ell <= s - 1:
-        raise ValueError(f"need 0 <= ell <= s-1, got ell={ell}")
+    _check_query(q, s, k, ell, m, min_m=2)
     return _select(_CF1, q, s, k, ell, m, q)
 
 
 def cf1_count(q: int, s: int, k: int, ell: int, m: int) -> int:
     """|enumerate_cf1(q, s, k, ell, m)|, read from the census of [s]."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got m={m}")
-    if not 0 <= ell <= s - 1:
-        raise ValueError(f"need 0 <= ell <= s-1, got ell={ell}")
+    _check_query(q, s, k, ell, m, min_m=2)
     return cf1_census(s).get((q, k, ell, m), 0)
 
 

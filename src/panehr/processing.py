@@ -52,6 +52,7 @@ from .forests import (
     Forest,
     Valued,
     _a_split,
+    _check_pair,
     _is_min_led,
     _leader_position_ok,
     _leader_starts,
@@ -420,8 +421,7 @@ def image_check(d: Distinguished, q: int, k: Optional[int] = None,
     the last block with value 0 and the leader of the (k-m+2)-th block to
     sit at position ell+2.
     """
-    if (ell is None) != (m is None):
-        raise ValueError("ell and m must be given together")
+    _check_pair(ell, m)
     if upper and ell is None:
         raise ValueError("upper image check needs ell and m")
     blocks, values, aset = d

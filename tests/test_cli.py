@@ -418,6 +418,16 @@ class TestOracleCommand:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ("panhandle", "--r", "1", "--s", "1", "--n", "2"),
+        ("hypersimplex", "--r", "1", "--n", "3"),
+        ("paving", "--r", "2", "--n", "4", "--hyperplane", "1,2"),
+    ])
+    def test_negative_dilation_gets_the_oracle_message(self, capsys, argv):
+        code, out, err = run(capsys, "oracle", "count", *argv, "--t", "-1")
+        assert code == 2 and out == ""
+        assert err == "panehr: error: dilation factor must be nonnegative\n"
+
     def test_missing_dilation(self, capsys):
         code, _, err = run(capsys, "oracle", "count", "panhandle", "--r", "1",
                            "--s", "1", "--n", "2")

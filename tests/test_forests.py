@@ -3,6 +3,8 @@
 import pytest
 
 from panehr import forests
+from panehr.cli import main
+from panehr.ehrhart import upper_expression
 from panehr.forests import (
     Distinguished,
     all_ordered_chain_forests,
@@ -392,3 +394,76 @@ class TestTextFormat:
     def test_empty_a(self):
         d = Distinguished(((1,),), (0,), frozenset())
         assert format_distinguished(d) == "[1]|A={}"
+
+
+# a valid query, and one broken rule per row applied to it with the message
+# that every consumer of the query raises for it
+VALID_QUERY = {"q": 1, "s": 3, "k": 2, "ell": 0, "m": 2}
+INVALID_QUERIES = [
+    ({"q": -1}, "need q >= 0, got q=-1"),
+    ({"k": 0}, "need 1 <= k <= s, got k=0, s=3"),
+    ({"k": 4}, "need 1 <= k <= s, got k=4, s=3"),
+    ({"ell": -1}, "need 0 <= ell <= s-1, got ell=-1"),
+    ({"ell": 3}, "need 0 <= ell <= s-1, got ell=3"),
+    ({"m": 0}, "need 1 <= m <= k, got m=0"),
+    ({"m": 3}, "need 1 <= m <= k, got m=3"),
+    ({"m": None}, "ell and m must be given together"),
+]
+FIVE = tuple(VALID_QUERY)
+# consumer: (the parameters it takes, whether ell and m are optional)
+QUERY_CONSUMERS = {
+    enumerate_cf: (FIVE, True),
+    enumerate_cf_refined: (FIVE, False),
+    enumerate_dcf: (FIVE, True),
+    enumerate_cf1: (FIVE, False),
+    enumerate_dcf1: (FIVE, False),
+    cf_count_formula: (("q", "s", "k"), False),
+    cf_refined_formula: (FIVE, False),
+    cf1_count: (FIVE, False),
+    upper_expression: (FIVE, False),
+}
+# enumerate kind: whether --ell and --m are optional
+ENUMERATE_KINDS = {"forests": True, "dcf": False, "cf1": False}
+
+
+def _invalid_cases(prefix, takes, optional):
+    """The rows of INVALID_QUERIES that a consumer taking these parameters
+    can be given, leaving m out only where ell and m are optional, as
+    (test id, query, message)."""
+    for change, message in INVALID_QUERIES:
+        (name, value), = change.items()
+        if name in takes and (value is not None or optional):
+            yield f"{prefix}-{name}={value}", {**VALID_QUERY, **change}, message
+
+
+class TestQueryRules:
+    """Both sides of the identity, and the CLI, reject the same queries."""
+
+    @pytest.mark.parametrize("consumer", list(QUERY_CONSUMERS), ids=lambda f: f.__name__)
+    def test_valid_query_is_answered(self, consumer):
+        takes, _ = QUERY_CONSUMERS[consumer]
+        consumer(**{p: VALID_QUERY[p] for p in takes})
+
+    @pytest.mark.parametrize("consumer, query, message", [
+        pytest.param(consumer, query, message, id=case)
+        for consumer, (takes, optional) in QUERY_CONSUMERS.items()
+        for case, query, message in _invalid_cases(consumer.__name__, takes, optional)])
+    def test_library_raises(self, consumer, query, message):
+        takes, _ = QUERY_CONSUMERS[consumer]
+        with pytest.raises(ValueError) as exc:
+            consumer(**{p: query[p] for p in takes})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind, query, message", [
+        pytest.param(kind, query, message, id=case)
+        for kind, optional in ENUMERATE_KINDS.items()
+        for case, query, message in _invalid_cases(kind, FIVE, optional)])
+    def test_cli_prints_the_library_message(self, capsys, kind, query, message):
+        argv = ["enumerate", kind]
+        for name, value in query.items():
+            if value is not None:
+                argv += [f"--{name}", str(value)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"panehr: error: {message}\n"
