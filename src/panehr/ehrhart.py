@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .exactmath import ONE, ZERO, Polynomial, binomial, interpolate, poly_leq
-from .forests import _check_query, upper_term_formula
+from .forests import _check_query, _summand
 
 
 def validate_panhandle(r: int, s: int, n: int) -> None:
@@ -209,7 +209,7 @@ def upper_expression(q: int, s: int, k: int, ell: int, m: int) -> int:
     """The alternating sum whose nonnegativity gives the coefficientwise
     upper bound; equals the count of the shifted leader-1 forests."""
     _check_query(q, s, k, ell, m)
-    return sum(upper_term_formula(q, s, k, ell, m, i) for i in range(q + 1))
+    return sum(_summand(q, s, k, ell, m, i, 1) for i in range(q + 1))
 
 
 def check_relaxation_positivity(r: int, s: int, n: int) -> bool:

@@ -14,21 +14,29 @@ block has weight 0.
 
 The enumerators here are deliberately exhaustive; they serve as the
 ground truth against which the closed-form counting expressions (also in
-this module) are verified.  The censuses still visit every object, but
-tally it only by its head statistic and block-length sequence: k, gamma at
-each position and the leader-position test depend on nothing else, so
-each distinct (head, lengths) bucket is expanded into its (k, ell, m)
-cells once, after the stream ends.
+this module) are verified.  The censuses count the same objects without
+visiting each one.  A census key reads only each block's element set and
+leader: the weight counts the elements below the leader, and k, gamma at
+each position and the leader-position test read only the block lengths.
+So a census walks skeletons, set partitions of the ground set with one
+leader per block, and counts each with the number of objects it stands
+for: the (|B|-1)! orders of every block's other elements, times, for the
+distinguished forests, the number of value compositions.  Each distinct
+(head, lengths) bucket is then expanded into its (k, ell, m) cells once.
+The skeleton counts use factorials and composition counts only, nothing
+of the closed forms.
 
 The enumerators and the closed forms own the rules of a query
-(q, s, k, ell, m) and share one check of them: both sides of the identity
-raise the same ValueError, and the command line prints its message.
+(q, s, k, ell, m), with the |A| slice i of the per-term side, and share
+one check of them: both sides of the identity raise the same ValueError,
+and the command line prints its message.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, permutations, product
+from math import factorial, prod
 from operator import attrgetter
 from typing import (Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
@@ -182,12 +190,15 @@ def all_ordered_chain_forests(elements: Sequence[int]) -> Iterator[Forest]:
 
 
 def _check_query(q: int, s: int, k: Optional[int] = None, ell: Optional[int] = None,
-                 m: Optional[int] = None, min_m: int = 1) -> None:
-    """Raise ValueError at the first broken rule of the query; k, ell and
-    m are checked only when given, m against s when k is not.  min_m = 2
-    adds the rule of the leader-1 forests, checked after the others."""
+                 m: Optional[int] = None, min_m: int = 1, i: Optional[int] = None) -> None:
+    """Raise ValueError at the first broken rule of the query; k, ell, m
+    and the |A| slice i are checked only when given, m against s when k is
+    not.  min_m = 2 adds the rule of the leader-1 forests, checked after
+    the others.  An i above q is valid: its slice is empty."""
     if q < 0:
         raise ValueError(f"need q >= 0, got q={q}")
+    if i is not None and i < 0:
+        raise ValueError(f"need i >= 0, got i={i}")
     if k is not None and not 1 <= k <= s:
         raise ValueError(f"need 1 <= k <= s, got k={k}, s={s}")
     if ell is not None and not 0 <= ell <= s - 1:
@@ -206,7 +217,11 @@ def _check_pair(ell: Optional[int], m: Optional[int]) -> None:
 
 def _summand(q: int, s: int, k: int, ell: int, m: int, i: int, shift: int) -> int:
     """The i-th summand of the refined closed form, signs included; shift
-    lowers both ends of the first product range (1 for the upper bound)."""
+    lowers both ends of the first product range (1 for the upper bound).
+    The sum stops at i = q, as no A of size i > q fits the budget, so the
+    summand is 0 above it."""
+    if i > q:
+        return 0
     return ((-1) ** i * binomial(s, i)
             * pi_range(-i + 1 - shift, s - 1 - ell - i - shift, s - ell - m)
             * pi_range(s - ell - i, s - 1 - i, ell - (k - m))
@@ -229,11 +244,13 @@ def cf_refined_formula(q: int, s: int, k: int, ell: int, m: int) -> int:
 
 def dcf_term_formula(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
     """The i-th summand of the refined closed form, signs included."""
+    _check_query(q, s, k, ell, m, i=i)
     return _summand(q, s, k, ell, m, i, 0)
 
 
 def upper_term_formula(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
     """The i-th summand of the shifted (upper bound) expression."""
+    _check_query(q, s, k, ell, m, i=i)
     return _summand(q, s, k, ell, m, i, 1)
 
 
@@ -375,6 +392,102 @@ def _cf1_forests(u: int) -> Iterator[Forest]:
 
 
 # ---------------------------------------------------------------------------
+# skeletons: what a census reads of the objects
+
+
+# (head, block lengths, sign, number of objects)
+_Skeleton = tuple[int, tuple[int, ...], int, int]
+
+
+def _led_partitions(elements: Sequence[int], keep: Collection[int] = ()
+                    ) -> Iterator[tuple[tuple[tuple[int, int, int], ...], int]]:
+    """Every set partition of the elements, given in increasing order, with
+    one leader per block, and the number of chain sets it stands for.
+
+    A block is a (leader, size, weight) triple, weight counting the
+    elements below the leader, and the blocks come in the order of their
+    minima.  A block whose minimum is in keep is led by it, any other
+    block by any of its elements, as in _chain_sets.  The chain sets with
+    these blocks and leaders are the (|B|-1)! orders of each block's other
+    elements, so all leader choices of one partition share that product.
+    """
+    elems = list(elements)
+    blocks: list[list[int]] = []
+
+    def rec(idx: int) -> Iterator[tuple[tuple[tuple[int, int, int], ...], int]]:
+        if idx == len(elems):
+            orders = prod(factorial(len(b) - 1) for b in blocks)
+            choices = [[(b[0], len(b), 0)] if b[0] in keep
+                       else [(x, len(b), w) for w, x in enumerate(b)] for b in blocks]
+            for led in product(*choices):
+                yield led, orders
+            return
+        e = elems[idx]
+        for b in blocks:
+            b.append(e)
+            yield from rec(idx + 1)
+            b.pop()
+        blocks.append([e])
+        yield from rec(idx + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
+def _lengths(led: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
+    return tuple(size for _, size, _ in led)
+
+
+def _cf_skeletons(q: int, s: int) -> Iterator[_Skeleton]:
+    """(weight, lengths, sign, count) over the skeletons of the naturally
+    ordered forests of [s]: blocks in increasing leader order."""
+    for led, orders in _led_partitions(range(1, s + 1)):
+        led = sorted(led)
+        yield sum(w for _, _, w in led), _lengths(led), 1, orders
+
+
+def _cf1_skeletons(q: int, s: int) -> Iterator[_Skeleton]:
+    """The skeletons of _cf1_forests: 1 leads its own block, which comes
+    last, after the others in increasing leader order."""
+    # 1 is the smallest element, so its block comes first; [0] has none
+    for (one, *others), orders in (_led_partitions(range(1, s + 1), {1}) if s else ()):
+        others.sort()
+        size = one[1]
+        yield sum(w for _, _, w in others) + size, _lengths(others) + (size,), 1, orders
+
+
+@lru_cache(maxsize=None)
+def _composition_count(total: int, parts: int) -> int:
+    return sum(1 for _ in compositions(total, parts))
+
+
+def _dcf_skeletons(q: int, s: int, need_one: bool = False) -> Iterator[_Skeleton]:
+    """(|A|, lengths, sign, count) over the skeletons of _dcf_iter(q, s,
+    need_one): every block is led by its minimum, the non-A blocks in
+    increasing and the A blocks in decreasing order of it.  With
+    need_one, the block of 1 comes last and carries value 0, so the
+    budget is spread over the other blocks and its sign does not count."""
+    shift = 1 if need_one else 0
+    universe = tuple(range(1, s + 1))
+    for i in range(0, min(q, s) + 1):
+        for aset in combinations(universe, i):
+            if need_one and 1 not in aset:
+                continue
+            rest = tuple(e for e in universe if e not in aset)
+            cparts = [(_lengths(reversed(led)), orders)
+                      for led, orders in _led_partitions(aset, aset)]
+            for bled, borders in _led_partitions(rest, rest):
+                blengths = _lengths(bled)
+                for clengths, corders in cparts:
+                    lengths = blengths + clengths
+                    # no values fit when the budget is left with no block
+                    values = _composition_count(q - i, len(lengths) - shift)
+                    if values:
+                        yield (i, lengths, (-1) ** (len(clengths) - shift),
+                               borders * corders * values)
+
+
+# ---------------------------------------------------------------------------
 # the four families, each described once; every enumerator and census below
 # is derived from these descriptions
 
@@ -384,7 +497,14 @@ class _Family(NamedTuple):
     forest of an object, the statistic that keys its census and that its
     enumerator selects on (q or |A|), the sign an object counts with, the
     restriction an object must meet (None: none), whether only positions
-    passing _leader_position_ok count, and the canonical sort key."""
+    passing _leader_position_ok count, the canonical sort key, and its
+    skeletons for (q, s): (head, lengths, sign, count) for each set
+    partition with leaders that stands for count >= 1 objects meeting the
+    restriction.
+
+    The enumerators filter the stream, and the census reads only the
+    skeletons.  The stream with the head, sign and restriction is also the
+    per-object reference that the skeleton counts are tested against."""
 
     stream: Callable[[int, int], Iterator]
     blocks: Callable[[Any], Forest]
@@ -393,31 +513,35 @@ class _Family(NamedTuple):
     restrict: Optional[Callable[[Any], bool]]
     leader_split: bool
     sort_key: Callable[[Any], tuple]
+    skeletons: Callable[[int, int], Iterator[_Skeleton]]
 
 
 # CF: naturally ordered forests of [s], keyed by their weight q
 _CF = _Family(stream=lambda q, s: naturally_ordered_forests(range(1, s + 1)),
               blocks=lambda f: f, head=forest_weight, sign=lambda f: 1,
-              restrict=None, leader_split=False, sort_key=_canonical_key)
+              restrict=None, leader_split=False, sort_key=_canonical_key,
+              skeletons=_cf_skeletons)
 # CF1: forests of [s] whose last block is led by 1, keyed by the weight of
 # the other blocks plus the size of the 1-block
 _CF1 = _Family(stream=lambda q, s: _cf1_forests(s),
                blocks=lambda f: f, head=lambda f: forest_weight(f[:-1]) + len(f[-1]),
                sign=lambda f: 1, restrict=None, leader_split=True,
-               sort_key=_canonical_key)
+               sort_key=_canonical_key, skeletons=_cf1_skeletons)
 # DCF: valued A-distinguished forests of budget q, keyed by |A|, signed by
 # the number of A blocks
 _DCF = _Family(stream=_dcf_iter, blocks=attrgetter("blocks"),
                head=lambda d: len(d.aset),
                sign=lambda d: (-1) ** distinguished_block_count(d),
-               restrict=None, leader_split=False, sort_key=_dcf_sort_key)
+               restrict=None, leader_split=False, sort_key=_dcf_sort_key,
+               skeletons=_dcf_skeletons)
 # DCF1: those with 1 in A, so 1 leads the last block, and value 0 there;
 # keyed by |A|, signed by the number of A blocks other than the last
 _DCF1 = _Family(stream=lambda q, s: _dcf_iter(q, s, need_one=True),
                 blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
                 sign=lambda d: (-1) ** (distinguished_block_count(d) - 1),
                 restrict=lambda d: d.values[-1] == 0, leader_split=True,
-                sort_key=_dcf_sort_key)
+                sort_key=_dcf_sort_key,
+                skeletons=lambda q, s: _dcf_skeletons(q, s, need_one=True))
 
 
 def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int],
@@ -425,8 +549,9 @@ def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int
     """The family's objects for (q, s) with k blocks, gamma(F, ell) = m and
     the given head statistic (a filter given as None is skipped) that meet
     its restriction and, for the leader-1 families, _leader_position_ok; in
-    canonical order."""
-    _check_query(q, s, k, ell, m)
+    canonical order.  The head is |A| (the i of a query) for the
+    distinguished families and q for the others."""
+    _check_query(q, s, k, ell, m, i=head)
     out = []
     for item in family.stream(q, s):
         blocks = family.blocks(item)
@@ -474,25 +599,21 @@ def _census(family: _Family, q: int, s: int, totals: Optional[dict] = None) -> d
     objects by (head, k) there.
 
     The head statistic, k, gamma and the leader-position test read only
-    the block-length sequence, so the stream is tallied in two passes: the
-    first sums each object's sign into a bucket keyed by (head, lengths),
-    the second expands every bucket once through tally_gamma, including a
-    bucket whose signs cancel to 0, so that its cells are still present.
+    the block-length sequence, so the family's skeletons are tallied in two
+    passes, no object visited: the first sums each skeleton's sign times
+    its count into a bucket keyed by (head, lengths), the second expands
+    every bucket once through tally_gamma, including a bucket whose signs
+    cancel to 0, so that its cells are still present.
     """
-    stream, blocks_of, head_of, sign, restrict, leader_split, _ = family
     buckets: dict = {}
-    for item in stream(q, s):
-        if restrict and not restrict(item):
-            continue
-        blocks = blocks_of(item)
-        head = head_of(item)
-        key = (head, tuple(map(len, blocks)))
-        buckets[key] = buckets.get(key, 0) + sign(item)
+    for head, lengths, sign, count in family.skeletons(q, s):
+        key = (head, lengths)
+        buckets[key] = buckets.get(key, 0) + sign * count
         if totals is not None:
-            totals[head, len(blocks)] = totals.get((head, len(blocks)), 0) + 1
+            totals[head, len(lengths)] = totals.get((head, len(lengths)), 0) + count
     census: dict = {}
     for (head, lengths), weight in buckets.items():
-        tally_gamma(census, (head,), lengths, weight, leader_split)
+        tally_gamma(census, (head,), lengths, weight, family.leader_split)
     return census
 
 
@@ -539,6 +660,7 @@ def enumerate_dcf(q: int, s: int, k: Optional[int] = None,
 def dcf_signed_sum(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
     """Sum of (-1)^(number of A blocks) over the |A| = i slice of
     DCF(q, s, k, ell, m)."""
+    _check_query(q, s, k, ell, m, i=i)
     return dcf_signed_census(q, s).get((i, k, ell, m), 0)
 
 
@@ -587,6 +709,7 @@ def enumerate_dcf1(q: int, s: int, k: int, ell: int, m: int,
 def dcf1_signed_sum(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
     """Sum of (-1)^(number of A blocks - 1) over the |A| = i slice of the
     restricted distinguished forests."""
+    _check_query(q, s, k, ell, m, i=i)
     return dcf1_signed_census(q, s).get((i, k, ell, m), 0)
 
 

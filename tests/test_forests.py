@@ -1,5 +1,7 @@
 """Unit tests for the forest data model, enumerators, and closed forms."""
 
+from math import comb, factorial
+
 import pytest
 
 from panehr import forests
@@ -28,6 +30,7 @@ from panehr.forests import (
     gamma,
     is_naturally_ordered,
     naturally_ordered_forests,
+    upper_term_formula,
 )
 
 
@@ -373,9 +376,72 @@ class TestCensusAgainstPerObjectTally:
         # bucket cancels there; a family with opposite signs in one bucket
         family = forests._CF._replace(
             stream=lambda q, s: iter([((1,), (2,)), ((2,), (1,))]),
-            sign=lambda f: 1 if f[0] == (1,) else -1)
+            sign=lambda f: 1 if f[0] == (1,) else -1,
+            skeletons=lambda q, s: iter([(0, (1, 1), 1, 1), (0, (1, 1), -1, 1)]))
         assert forests._census(family, 0, 2) == _per_object_census(family, 0, 2) == \
             {(0, 2, 0, 2): 0, (0, 2, 1, 1): 0}
+
+
+FAMILIES = {"cf": forests._CF, "cf1": forests._CF1,
+            "dcf": forests._DCF, "dcf1": forests._DCF1}
+
+
+class TestSkeletons:
+    """A skeleton (set partition plus leaders) stands for exactly the
+    objects its count says."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_counts_match_the_stream(self, name):
+        family = FAMILIES[name]
+        distinguished = name.startswith("dcf")
+        for s in range(0, 7):
+            for q in range(0, 5) if distinguished else [0]:
+                # objects and skeleton counts by (head, lengths), unsigned
+                listed, counted = {}, {}
+                for item in family.stream(q, s):
+                    if family.restrict and not family.restrict(item):
+                        continue
+                    key = (family.head(item), tuple(map(len, family.blocks(item))))
+                    listed[key] = listed.get(key, 0) + 1
+                for head, lengths, _, count in family.skeletons(q, s):
+                    counted[head, lengths] = counted.get((head, lengths), 0) + count
+                # equal per (head, lengths), so also in total
+                assert counted == listed, (q, s)
+
+    def test_cf_totals_at_eight_are_lah_numbers(self):
+        s = 8
+        totals, _ = forests.cf_census(s)
+        for k in range(1, s + 1):
+            lah = comb(s - 1, k - 1) * factorial(s) // factorial(k)
+            assert sum(n for (_, kk), n in totals.items() if kk == k) == lah, k
+
+    def test_census_reads_no_object_stream(self, monkeypatch):
+        # a census that went back to visiting objects would raise here
+        censuses = (forests.cf_census, forests.cf1_census,
+                    forests.dcf_signed_census, forests.dcf1_signed_census)
+        expected = [(forests.cf_census(s), forests.cf1_census(s))
+                    for s in range(0, 5)]
+        expected_dcf = {(q, s): (forests.dcf_signed_census(q, s),
+                                 forests.dcf1_signed_census(q, s))
+                        for q in range(0, 5) for s in range(0, 5)}
+
+        def no_stream(q, s):
+            raise AssertionError("census visited the object stream")
+
+        for attr in ("_CF", "_CF1", "_DCF", "_DCF1"):
+            monkeypatch.setattr(forests, attr,
+                                getattr(forests, attr)._replace(stream=no_stream))
+        for census in censuses:
+            census.cache_clear()
+        try:
+            for s in range(0, 5):
+                assert (forests.cf_census(s), forests.cf1_census(s)) == expected[s]
+                for q in range(0, 5):
+                    assert (forests.dcf_signed_census(q, s),
+                            forests.dcf1_signed_census(q, s)) == expected_dcf[q, s]
+        finally:
+            for census in censuses:
+                census.cache_clear()
 
 
 class TestTextFormat:
@@ -397,10 +463,14 @@ class TestTextFormat:
 
 
 # a valid query, and one broken rule per row applied to it with the message
-# that every consumer of the query raises for it
-VALID_QUERY = {"q": 1, "s": 3, "k": 2, "ell": 0, "m": 2}
+# that every consumer of the query raises for it; i is the |A| slice of the
+# per-term consumers and size_a the same filter of the distinguished
+# enumerators
+VALID_QUERY = {"q": 1, "s": 3, "k": 2, "ell": 0, "m": 2, "i": 0, "size_a": 0}
 INVALID_QUERIES = [
     ({"q": -1}, "need q >= 0, got q=-1"),
+    ({"i": -1}, "need i >= 0, got i=-1"),
+    ({"size_a": -1}, "need i >= 0, got i=-1"),
     ({"k": 0}, "need 1 <= k <= s, got k=0, s=3"),
     ({"k": 4}, "need 1 <= k <= s, got k=4, s=3"),
     ({"ell": -1}, "need 0 <= ell <= s-1, got ell=-1"),
@@ -409,18 +479,22 @@ INVALID_QUERIES = [
     ({"m": 3}, "need 1 <= m <= k, got m=3"),
     ({"m": None}, "ell and m must be given together"),
 ]
-FIVE = tuple(VALID_QUERY)
+FIVE = ("q", "s", "k", "ell", "m")
 # consumer: (the parameters it takes, whether ell and m are optional)
 QUERY_CONSUMERS = {
     enumerate_cf: (FIVE, True),
     enumerate_cf_refined: (FIVE, False),
-    enumerate_dcf: (FIVE, True),
+    enumerate_dcf: (FIVE + ("size_a",), True),
     enumerate_cf1: (FIVE, False),
-    enumerate_dcf1: (FIVE, False),
+    enumerate_dcf1: (FIVE + ("size_a",), False),
     cf_count_formula: (("q", "s", "k"), False),
     cf_refined_formula: (FIVE, False),
     cf1_count: (FIVE, False),
     upper_expression: (FIVE, False),
+    dcf_term_formula: (FIVE + ("i",), False),
+    upper_term_formula: (FIVE + ("i",), False),
+    dcf_signed_sum: (FIVE + ("i",), False),
+    dcf1_signed_sum: (FIVE + ("i",), False),
 }
 # enumerate kind: whether --ell and --m are optional
 ENUMERATE_KINDS = {"forests": True, "dcf": False, "cf1": False}
@@ -429,11 +503,12 @@ ENUMERATE_KINDS = {"forests": True, "dcf": False, "cf1": False}
 def _invalid_cases(prefix, takes, optional):
     """The rows of INVALID_QUERIES that a consumer taking these parameters
     can be given, leaving m out only where ell and m are optional, as
-    (test id, query, message)."""
+    (test id, query restricted to those parameters, message)."""
     for change, message in INVALID_QUERIES:
         (name, value), = change.items()
         if name in takes and (value is not None or optional):
-            yield f"{prefix}-{name}={value}", {**VALID_QUERY, **change}, message
+            query = {**VALID_QUERY, **change}
+            yield f"{prefix}-{name}={value}", {p: query[p] for p in takes}, message
 
 
 class TestQueryRules:
@@ -443,6 +518,15 @@ class TestQueryRules:
     def test_valid_query_is_answered(self, consumer):
         takes, _ = QUERY_CONSUMERS[consumer]
         consumer(**{p: VALID_QUERY[p] for p in takes})
+
+    @pytest.mark.parametrize("consumer", [
+        consumer for consumer, (takes, _) in QUERY_CONSUMERS.items()
+        if {"i", "size_a"} & set(takes)], ids=lambda f: f.__name__)
+    def test_slice_above_the_budget_is_empty(self, consumer):
+        # no A of size 3 fits the budget q = 1, on either side of the identity
+        takes, _ = QUERY_CONSUMERS[consumer]
+        query = {**VALID_QUERY, "i": 3, "size_a": 3}
+        assert consumer(**{p: query[p] for p in takes}) in (0, [])
 
     @pytest.mark.parametrize("consumer, query, message", [
         pytest.param(consumer, query, message, id=case)
