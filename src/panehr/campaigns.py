@@ -210,13 +210,16 @@ def run_involution(s: int, q: int) -> list[Row]:
 
     Splits the distinguished forests into the minus side, the plus side,
     and the plain-forest representatives, maps the minus side through the
-    sign-reversing map, and checks injectivity, class preservation, and
-    per-class cardinality matches, which together force the alternating
-    sum to collapse onto the plain count.
+    sign-reversing map, and checks injectivity into the streamed plus
+    side, class preservation, and per-class cardinality matches, which
+    together force the alternating sum to collapse onto the plain count.
     """
     minus = 0
     problems: list[str] = []
-    seen = set()
+    # an image is on the plus side when it is a streamed forest that
+    # positive_side accepted, so no image is classified a second time
+    plus = set()
+    seen: dict = {}  # the pairing images, in stream order
     # (side, block lengths) -> number of forests; the class (k, gamma at
     # every position) of a forest is fixed by its block lengths
     buckets: dict = {}
@@ -225,6 +228,7 @@ def run_involution(s: int, q: int) -> list[Row]:
             side = "minus"
         elif processing.positive_side(d):
             side = "plus"
+            plus.add(d)
         else:
             side = "plain"
         lengths = tuple(map(len, d.blocks))
@@ -234,18 +238,17 @@ def run_involution(s: int, q: int) -> list[Row]:
         minus += 1
         try:
             y = processing.involution_f(d)
-            on_plus = y not in seen and processing.positive_side(y)
         except ValueError as exc:
             problems.append(f"pairing failed at {forests.format_distinguished(d)}: {exc}")
             continue
         if y in seen:
             problems.append(f"not injective at {forests.format_distinguished(d)}")
             continue
-        seen.add(y)
-        if not on_plus:
-            problems.append(f"image not on plus side: {forests.format_distinguished(y)}")
+        seen[y] = None
         if tuple(map(len, y.blocks)) != lengths:
             problems.append(f"class changed at {forests.format_distinguished(d)}")
+    problems += [f"image not on plus side: {forests.format_distinguished(y)}"
+                 for y in seen if y not in plus]
     counts: dict = {}
     for (side, lengths), weight in buckets.items():
         forests.tally_gamma(counts, (side,), lengths, weight)

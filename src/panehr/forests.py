@@ -281,6 +281,18 @@ def _is_min_led(block: Block) -> bool:
     return block[0] == min(block)
 
 
+def _shape_violation(blocks: Forest, values: Sequence[int]) -> Optional[str]:
+    """The first shape rule a valued forest breaks, or None: one value per
+    block, values nonnegative, blocks nonempty and disjoint."""
+    if len(values) != len(blocks):
+        return "one value per block required"
+    if values and min(values) < 0:
+        return "values must be nonnegative"
+    if len(set().union(*blocks)) != sum(map(len, blocks)) or not all(blocks):
+        return "blocks must be nonempty and disjoint"
+    return None
+
+
 def _a_split(d: Distinguished) -> tuple[int, Optional[str]]:
     """Index of the first A block (len(d.blocks) if none) and the first
     violated property, or None: blocks wholly in or out of A, non-A blocks
@@ -316,13 +328,8 @@ def check_distinguished(d: Distinguished) -> int:
     block.  Raises ValueError naming the violated property.
     """
     blocks, values, _ = d
-    if len(values) != len(blocks):
-        raise ValueError("one value per block required")
-    if any(v < 0 for v in values):
-        raise ValueError("values must be nonnegative")
-    seen = flatten(blocks)
-    if len(set(seen)) != len(seen) or any(len(b) == 0 for b in blocks):
-        raise ValueError("blocks must be nonempty and disjoint")
+    if violation := _shape_violation(blocks, values):
+        raise ValueError(violation)
     split, violation = _a_split(d)
     if violation:
         raise ValueError(violation)

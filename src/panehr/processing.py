@@ -39,7 +39,15 @@ because the blocks in front of the target and their ranks do not change.
 _Run.run checks that processed count plus remaining values is conserved,
 _phi checks the block length sequence, _Run.unstep raises the four
 ReverseErrors of reverse_step, and reconstruct_state the three of the
-split-index search.
+split-index search.  The shape rules of a valued forest (one value per
+block, values nonnegative, blocks nonempty and disjoint) live in
+forests._shape_violation: check_distinguished raises on them, image_check
+rejects as condition 0, and _Run.load, _reconstruct and run_processing
+raise ValueError; _phi and _Run.__init__ take inputs already checked.
+The pairing battery (campaigns.run_involution) checks each streamed
+forest once, through involution_f on the minus side and positive_side
+elsewhere, and certifies a pairing image by finding it among the
+streamed forests positive_side accepted, not by classifying it again.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .forests import (
     _is_min_led,
     _leader_position_ok,
     _leader_starts,
+    _shape_violation,
     all_ordered_chain_forests,
     block_weight,
     check_distinguished,
@@ -128,6 +137,8 @@ class _Run:
     @classmethod
     def load(cls, state: AlgorithmState) -> "_Run":
         """A run resumed from a snapshot, with the snapshot's own order L."""
+        if violation := _shape_violation(state.blocks, state.values):
+            raise ValueError(violation)
         run = cls(state.blocks, state.values, state.processed)
         for i, x in enumerate(state.order):
             run.rank[x] = i
@@ -285,6 +296,8 @@ def process_step(state: AlgorithmState) -> Optional[AlgorithmState]:
 def run_processing(valued: Valued, collect: bool = False
                    ) -> tuple[AlgorithmState, list[AlgorithmState]]:
     """Run to the fixed point; returns its snapshot and, if collect, all."""
+    if violation := _shape_violation(valued.blocks, valued.values):
+        raise ValueError(violation)
     run = _Run(valued.blocks, valued.values)
     trail = [run.snapshot()] if collect else None
     run.run(trail)
@@ -351,6 +364,8 @@ def reconstruct_state(valued: Valued, q1: int) -> AlgorithmState:
 
 def _reconstruct(valued: Valued, q1: int) -> _Run:
     blocks, values = valued
+    if violation := _shape_violation(blocks, values):
+        raise ValueError(violation)
     r = len(blocks)
     weights = [block_weight(b) for b in blocks]
     for j in range(r + 1):
@@ -412,7 +427,8 @@ def image_check(d: Distinguished, q: int, k: Optional[int] = None,
                 upper: bool = False) -> CheckResult:
     """Decide membership in the image of phi for budget q.
 
-    Checks, in order: the A blocks trail and are decreasing with minimal
+    Checks, in order: one nonnegative value per block and nonempty,
+    disjoint blocks; the A blocks trail and are decreasing with minimal
     leaders; a split index j balances weights, trailing block sizes and
     values against q; the last j non-A blocks are naturally ordered with
     minimal leaders; the first r-j non-A blocks are naturally ordered
@@ -425,6 +441,8 @@ def image_check(d: Distinguished, q: int, k: Optional[int] = None,
     if upper and ell is None:
         raise ValueError("upper image check needs ell and m")
     blocks, values, aset = d
+    if violation := _shape_violation(blocks, values):
+        return _reject(f"condition 0: {violation}")
     split, violation = _a_split(d)
     if violation:
         return _reject(f"condition 1: {violation}")

@@ -152,8 +152,8 @@ def raised_message(step, state, q1):
 OPTIMIZED_SCRIPT = """
 import json, sys
 from panehr.forests import Distinguished, Valued
-from panehr.processing import (AlgorithmState, ReverseError, phi_trace, process_step,
-                               reverse_step, reverse_trace)
+from panehr.processing import (AlgorithmState, ReverseError, image_check, phi_trace,
+                               process_step, reverse_step, reverse_trace)
 raised = []
 for state, q1, _ in TAMPERED:
     try:
@@ -164,6 +164,10 @@ for state, q1, _ in TAMPERED:
         raised.append(None)
     except (AssertionError, ReverseError) as exc:
         raised.append(str(exc))
+try:
+    malformed_reverse = reverse_trace(Valued(((1,), (2,)), (0, 0, 3)), 3)
+except ValueError as exc:
+    malformed_reverse = str(exc)
 print(json.dumps({
     "optimize": sys.flags.optimize,
     "raised": raised,
@@ -171,6 +175,9 @@ print(json.dumps({
     "two": phi_trace(Distinguished(((1, 5, 3), (2,), (4, 7), (8,), (6,)),
                                    (2, 2, 1, 0, 1), frozenset({6, 8}))),
     "reverse": reverse_trace(Valued(((3, 1, 4), (5, 2, 6), (7,), (8,)), (0, 0, 0, 1)), 5),
+    "malformed_image": image_check(Distinguished(((2, 1), (3,)), (0, -2), frozenset()),
+                                   0).reason,
+    "malformed_reverse": malformed_reverse,
 }))
 """
 
@@ -189,6 +196,8 @@ def test_invariants_survive_optimize():
     assert "\n".join(out["one"]) == TRACE_ONE
     assert "\n".join(out["two"]) == TRACE_TWO
     assert "\n".join(out["reverse"]) == TRACE_REVERSE
+    assert out["malformed_image"] == "condition 0: values must be nonnegative"
+    assert out["malformed_reverse"] == "one value per block required"
 
 
 class TestReverse:
@@ -378,6 +387,44 @@ class TestImageCheck:
         assert not verdict and "upper condition" in verdict.reason
 
 
+MALFORMED = [
+    pytest.param(image_check, (Distinguished(((2, 1), (3,)), (0, -2), frozenset()), 0),
+                 "values must be nonnegative", id="image_check-negative-value"),
+    pytest.param(phi_inverse, (Distinguished(((2, 1), (3,)), (0, -2), frozenset()), 0),
+                 "values must be nonnegative", id="phi_inverse-negative-value"),
+    pytest.param(image_check, (Distinguished(((2, 1), (1,)), (0, 0), frozenset()), 2),
+                 "blocks must be nonempty and disjoint", id="image_check-repeated-element"),
+    pytest.param(image_check, (Distinguished(((1,), (2,)), (0,), frozenset()), 0),
+                 "one value per block required", id="image_check-short-values"),
+    pytest.param(image_check, (Distinguished(((), (1,)), (0, 0), frozenset()), 0),
+                 "blocks must be nonempty and disjoint", id="image_check-empty-block"),
+    pytest.param(reverse_trace, (Valued(((1,), (2,)), (0, 0, 3)), 3),
+                 "one value per block required", id="reverse_trace-extra-value"),
+    pytest.param(reverse_trace, (Valued(((1,), (2,)), (0, -2)), -2),
+                 "values must be nonnegative", id="reverse_trace-negative-value"),
+    pytest.param(reconstruct_state, (Valued(((1,), (2,)), (0, 0, 3)), 3),
+                 "one value per block required", id="reconstruct_state-extra-value"),
+    pytest.param(process_step, (AlgorithmState(((1,), (2,)), (1,), frozenset(), (1, 2)),),
+                 "one value per block required", id="process_step-short-values"),
+    pytest.param(reverse_step, (AlgorithmState(((1,), (1,)), (0, 0), frozenset({1}), (1,)), 1),
+                 "blocks must be nonempty and disjoint", id="reverse_step-repeated-element"),
+    pytest.param(run_processing, (Valued(((1,), (2,)), (1,)),),
+                 "one value per block required", id="run_processing-short-values"),
+]
+
+
+@pytest.mark.parametrize("entry, args, rule", MALFORMED)
+def test_malformed_valued_forest_is_rejected(entry, args, rule):
+    # these entry points skip check_distinguished; each must still refuse a
+    # forest that breaks a shape rule rather than answer or raise IndexError
+    if entry is image_check:
+        verdict = image_check(*args)
+        assert not verdict and verdict.reason == f"condition 0: {rule}"
+    else:
+        with pytest.raises(ValueError, match=rule):
+            entry(*args)
+
+
 class TestCheckOnce:
     def test_kernel_split_index_matches_image_check(self):
         from panehr import processing
@@ -416,6 +463,18 @@ class TestCheckOnce:
             assert checks(phi_inverse, phi(d), q) == 0
             if negative_side(d):
                 assert checks(involution_f, d) == 1
+
+    def test_the_involution_battery_checks_each_forest_once(self, monkeypatch):
+        from panehr import campaigns, processing
+
+        calls = []
+        original = processing.check_distinguished
+        monkeypatch.setattr(processing, "check_distinguished",
+                            lambda d: calls.append(d) or original(d))
+        assert all(row.ok for row in campaigns.run_involution(3, 2))
+        streamed = list(forests.iter_dcf(2, 3))
+        assert len(calls) == len(streamed)
+        assert set(calls) == set(streamed)
 
 
 class TestInvolution:
@@ -457,6 +516,25 @@ class TestInvolution:
         rows = {dict(r.params)["check"]: r for r in campaigns.run_involution(2, 1)}
         assert not rows["cancellation"].ok
         assert rows["cancellation"].actual == "class k=2 ell=0 m=2: 2 != 0"
+
+    def test_pairing_row_fails_on_an_image_off_the_plus_side(self, monkeypatch):
+        from panehr import campaigns, processing
+
+        monkeypatch.setattr(processing, "involution_f", lambda d: d)
+        rows = {dict(r.params)["check"]: r for r in campaigns.run_involution(2, 1)}
+        assert not rows["injective-into-plus"].ok
+        assert rows["injective-into-plus"].actual == "image not on plus side: [2][1]|A={1}"
+
+    def test_pairing_row_fails_on_a_repeated_image(self, monkeypatch):
+        from panehr import campaigns, processing
+
+        # a plus-side forest with the block lengths of both minus forests
+        fixed = Distinguished(((1,), (2,)), (0, 1), frozenset())
+        assert positive_side(fixed)
+        monkeypatch.setattr(processing, "involution_f", lambda d: fixed)
+        rows = {dict(r.params)["check"]: r for r in campaigns.run_involution(2, 1)}
+        assert not rows["injective-into-plus"].ok
+        assert rows["injective-into-plus"].actual == "not injective at [1][2]|A={2}"
 
     def test_injective_and_counts_match(self):
         for s in range(1, 5):
