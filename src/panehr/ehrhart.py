@@ -27,7 +27,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exactmath import ONE, ZERO, Polynomial, binomial, interpolate, poly_leq
+from .exactmath import ZERO, Polynomial, binomial, interpolate, poly_leq
 from .forests import _check_query, _summand
 
 
@@ -142,16 +142,20 @@ def ehr_panhandle(r: int, s: int, n: int) -> Polynomial:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _hypersimplex(r: int, n: int) -> Polynomial:
-    """Hypersimplex Ehrhart polynomial, allowing the degenerate point cases
+def _hypersimplex_count(r: int, n: int, t: int) -> int:
+    """Integer points of the t-dilated hypersimplex, by inclusion-exclusion
+    on coordinates exceeding t; a single point in the degenerate cases
     r = 0 and r = n."""
     if r in (0, n):
-        return ONE
-    return _interpolated(
-        lambda t: sum((-1) ** j * binomial(n, j) * binomial((r - j) * t + n - 1 - j, n - 1)
-                      for j in range(r)),
-        n - 1)
+        return 1
+    return sum((-1) ** j * binomial(n, j) * binomial((r - j) * t + n - 1 - j, n - 1)
+               for j in range(r))
+
+
+@lru_cache(maxsize=None)
+def _hypersimplex(r: int, n: int) -> Polynomial:
+    """Hypersimplex Ehrhart polynomial for 1 <= r <= n-1."""
+    return _interpolated(lambda t: _hypersimplex_count(r, n, t), n - 1)
 
 
 def ehr_hypersimplex(r: int, n: int) -> Polynomial:
@@ -177,7 +181,9 @@ def ehr_product_simplex(r: int, s: int, n: int) -> Polynomial:
     degenerating to a single point contributes the constant polynomial 1.
     """
     validate_panhandle(r, s, n)
-    return _hypersimplex(r - 1, s) * _hypersimplex(1, n - s)
+    # the degrees of the factors, s-1 and n-s-1 at most, add up to n-2
+    return _interpolated(
+        lambda t: _hypersimplex_count(r - 1, s, t) * _hypersimplex_count(1, n - s, t), n - 2)
 
 
 @lru_cache(maxsize=None)

@@ -12,19 +12,23 @@ wholly inside or outside A, the non-A blocks come first in increasing
 leader order, the A blocks follow in decreasing leader order, and every
 block has weight 0.
 
-The enumerators here are deliberately exhaustive; they serve as the
-ground truth against which the closed-form counting expressions (also in
-this module) are verified.  The censuses count the same objects without
-visiting each one.  A census key reads only each block's element set and
-leader: the weight counts the elements below the leader, and k, gamma at
-each position and the leader-position test read only the block lengths.
-So a census walks skeletons, set partitions of the ground set with one
-leader per block, and counts each with the number of objects it stands
-for: the (|B|-1)! orders of every block's other elements, times, for the
-distinguished forests, the number of value compositions.  Each distinct
-(head, lengths) bucket is then expanded into its (k, ell, m) cells once.
-The skeleton counts use factorials and composition counts only, nothing
-of the closed forms.
+Each of the four families (CF, CF1, DCF, DCF1) is described once, by
+one walk over its skeletons: set partitions of the ground set with one
+leader per block, the blocks in family order, and for the distinguished
+forests the set A and the budget left for the values.  A skeleton stands
+for the (|B|-1)! orders of every block's other elements, times, for the
+distinguished forests, the number of value compositions.  The object
+streams expand the skeletons into those objects, and the exhaustive
+enumerators filter the objects by their own blocks.  The censuses count
+the same objects without visiting one: a census key reads only each
+block's element set and leader (the weight counts the elements below
+the leader, and k, gamma at each position and the leader-position test
+read only the block lengths), so a census tallies each skeleton's count
+by (head, lengths) and expands each distinct bucket into its (k, ell, m)
+cells once.  The skeleton counts use factorials and composition counts
+only, nothing of the closed forms.  The brute-force generator
+all_ordered_chain_forests (every permutation cut into blocks) shares no
+code with the walk and is the independent reference for the streams.
 
 The enumerators and the closed forms own the rules of a query
 (q, s, k, ell, m), with the |A| slice i of the per-term side, and share
@@ -35,7 +39,7 @@ and the command line prints its message.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product, starmap
 from math import factorial, prod
 from operator import attrgetter
 from typing import (Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional,
@@ -125,46 +129,9 @@ def _canonical_key(blocks: Forest) -> tuple:
 # ---------------------------------------------------------------------------
 # enumerators
 
-def _chain_sets(elements: Sequence[int], keep: Collection[int] = ()
-                ) -> Iterator[list[Block]]:
-    """All ways to arrange the given elements into disjoint ordered chains
-    in which an element of keep that leads a chain stays its leader.
-
-    Elements are inserted one at a time, in the given order; each insertion
-    point (the front of a chain, directly after any element, or a fresh
-    chain, tried in that order) produces a distinct arrangement, so every
-    chain set appears exactly once.  The front of a chain led by an
-    element of keep is skipped.  With keep empty this gives every chain
-    set; with every element kept and inserted in increasing order, the
-    weight-0 chains (leader minimal); with keep = {1}, the chain sets
-    where 1 leads its chain.  Chains come in the order of their first
-    inserted element.
-    """
-    elems = list(elements)
-    chains: list[list[int]] = []
-
-    def rec(idx: int) -> Iterator[list[Block]]:
-        if idx == len(elems):
-            yield [tuple(c) for c in chains]
-            return
-        e = elems[idx]
-        for c in chains:
-            for pos in range(1 if c[0] in keep else 0, len(c) + 1):
-                c.insert(pos, e)
-                yield from rec(idx + 1)
-                del c[pos]
-        chains.append([e])
-        yield from rec(idx + 1)
-        chains.pop()
-
-    yield from rec(0)
-
-
 def naturally_ordered_forests(elements: Sequence[int]) -> Iterator[Forest]:
     """All naturally ordered chain forests over the given elements."""
-    # disjoint blocks sort by their leaders
-    for cs in _chain_sets(elements):
-        yield tuple(sorted(cs))
+    return _expand(_cf_skeletons(sorted(elements)))
 
 
 def all_ordered_chain_forests(elements: Sequence[int]) -> Iterator[Forest]:
@@ -342,31 +309,9 @@ def check_distinguished(d: Distinguished) -> int:
     return split
 
 
-def _dcf_iter(q: int, s: int, need_one: bool = False) -> Iterator[Distinguished]:
-    """All valued A-distinguished forests of [s] with |A| + sum(values) = q.
-
-    With need_one, restricts to subsets A containing the element 1.
-    """
-    universe = tuple(range(1, s + 1))
-    for i in range(0, min(q, s) + 1):
-        for aset in combinations(universe, i):
-            if need_one and 1 not in aset:
-                continue
-            rest = tuple(e for e in universe if e not in aset)
-            afro = frozenset(aset)
-            # every block has weight 0; the A blocks decrease by leader
-            cparts = [tuple(sorted(cs, reverse=True)) for cs in _chain_sets(aset, aset)]
-            for bpart in _chain_sets(rest, rest):
-                bblocks = tuple(sorted(bpart))
-                for cblocks in cparts:
-                    blocks = bblocks + cblocks
-                    for values in compositions(q - i, len(blocks)):
-                        yield Distinguished(blocks, values, afro)
-
-
-def iter_dcf(q: int, s: int, need_one: bool = False) -> Iterator[Distinguished]:
+def iter_dcf(q: int, s: int) -> Iterator[Distinguished]:
     """Unfiltered stream over DCF(q, s); see enumerate_dcf for filters."""
-    return _dcf_iter(q, s, need_one)
+    yield from _expand(_dcf_skeletons(q, s))
 
 
 def _dcf_sort_key(d: Distinguished) -> tuple:
@@ -390,42 +335,38 @@ def _leader_position_ok(starts: Sequence[int], m: int, ell: int) -> bool:
     return 0 <= idx < len(starts) - 1 and starts[idx] == ell + 1
 
 
-def _cf1_forests(u: int) -> Iterator[Forest]:
-    """Forests of [u] whose last block is led by 1, all other blocks
-    naturally ordered among themselves."""
-    # 1 is inserted first, so its chain comes first; [0] has no such forest
-    for one, *others in (_chain_sets(range(1, u + 1), {1}) if u else ()):
-        yield tuple(sorted(others)) + (one,)
-
-
 # ---------------------------------------------------------------------------
-# skeletons: what a census reads of the objects
+# skeletons: the one walk of every family
 
 
-# (head, block lengths, sign, number of objects)
-_Skeleton = tuple[int, tuple[int, ...], int, int]
+# a block of a skeleton: (leader, elements in increasing order, weight)
+_Led = tuple[int, Block, int]
+# (head, led blocks in family order, sign, number of objects, A or None,
+# number of blocks sharing the budget, budget)
+_Skeleton = tuple[int, tuple[_Led, ...], int, int, Optional[frozenset[int]], int, int]
 
 
 def _led_partitions(elements: Sequence[int], keep: Collection[int] = ()
-                    ) -> Iterator[tuple[tuple[tuple[int, int, int], ...], int]]:
+                    ) -> Iterator[tuple[tuple[_Led, ...], int]]:
     """Every set partition of the elements, given in increasing order, with
     one leader per block, and the number of chain sets it stands for.
 
-    A block is a (leader, size, weight) triple, weight counting the
-    elements below the leader, and the blocks come in the order of their
-    minima.  A block whose minimum is in keep is led by it, any other
-    block by any of its elements, as in _chain_sets.  The chain sets with
-    these blocks and leaders are the (|B|-1)! orders of each block's other
-    elements, so all leader choices of one partition share that product.
+    A block is a (leader, elements, weight) triple, its elements in
+    increasing order and its weight counting those below the leader, and
+    the blocks come in the order of their minima.  A block whose minimum is
+    in keep is led by it, any other block by any of its elements.  The
+    chain sets with these blocks and leaders are the (|B|-1)! orders of
+    each block's other elements, so all leader choices of one partition
+    share that product.
     """
     elems = list(elements)
     blocks: list[list[int]] = []
 
-    def rec(idx: int) -> Iterator[tuple[tuple[tuple[int, int, int], ...], int]]:
+    def rec(idx: int) -> Iterator[tuple[tuple[_Led, ...], int]]:
         if idx == len(elems):
             orders = prod(factorial(len(b) - 1) for b in blocks)
-            choices = [[(b[0], len(b), 0)] if b[0] in keep
-                       else [(x, len(b), w) for w, x in enumerate(b)] for b in blocks]
+            choices = [[(b[0], b, 0)] if b[0] in keep
+                       else [(x, b, w) for w, x in enumerate(b)] for b in map(tuple, blocks)]
             for led in product(*choices):
                 yield led, orders
             return
@@ -441,39 +382,59 @@ def _led_partitions(elements: Sequence[int], keep: Collection[int] = ()
     yield from rec(0)
 
 
-def _lengths(led: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
-    return tuple(size for _, size, _ in led)
+def _expand(skeletons: Iterable[_Skeleton]) -> Iterator:
+    """The objects the skeletons stand for, each exactly once: every block
+    keeps its leader and takes every order of its other elements.  With A
+    given, every composition of the budget into the first parts blocks is
+    a value vector, with value 0 on the blocks after them."""
+    for _, led, _, _, aset, parts, budget in skeletons:
+        # the weight of a block is its leader's index among its elements;
+        # a block of at most two elements has one order
+        forests = product(*[[(x,) + b[:w] + b[w + 1:]] if len(b) < 3
+                            else [(x, *rest) for rest in permutations(b[:w] + b[w + 1:])]
+                            for x, b, w in led])
+        if aset is None:
+            yield from forests
+        else:
+            yield from starmap(Distinguished, product(
+                forests, _value_vectors(budget, parts, len(led)), (aset,)))
 
 
-def _cf_skeletons(q: int, s: int) -> Iterator[_Skeleton]:
-    """(weight, lengths, sign, count) over the skeletons of the naturally
-    ordered forests of [s]: blocks in increasing leader order."""
-    for led, orders in _led_partitions(range(1, s + 1)):
-        led = sorted(led)
-        yield sum(w for _, _, w in led), _lengths(led), 1, orders
+def _cf_skeletons(elements: Sequence[int]) -> Iterator[_Skeleton]:
+    """The skeletons of the naturally ordered forests over the elements,
+    given in increasing order: any leader, blocks in increasing leader
+    order, keyed by weight."""
+    for led, orders in _led_partitions(elements):
+        led = tuple(sorted(led))
+        yield sum(w for _, _, w in led), led, 1, orders, None, 0, 0
 
 
 def _cf1_skeletons(q: int, s: int) -> Iterator[_Skeleton]:
-    """The skeletons of _cf1_forests: 1 leads its own block, which comes
-    last, after the others in increasing leader order."""
+    """The skeletons of the forests of [s] whose last block is led by 1,
+    the other blocks in increasing leader order; keyed by the weight of
+    the others plus the size of the block of 1."""
     # 1 is the smallest element, so its block comes first; [0] has none
     for (one, *others), orders in (_led_partitions(range(1, s + 1), {1}) if s else ()):
         others.sort()
-        size = one[1]
-        yield sum(w for _, _, w in others) + size, _lengths(others) + (size,), 1, orders
+        yield (sum(w for _, _, w in others) + len(one[1]), (*others, one), 1, orders,
+               None, 0, 0)
 
 
 @lru_cache(maxsize=None)
-def _composition_count(total: int, parts: int) -> int:
-    return sum(1 for _ in compositions(total, parts))
+def _value_vectors(budget: int, parts: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The values of k blocks: the budget spread over the first parts
+    blocks in every way, 0 on the others."""
+    return tuple(values + (0,) * (k - parts) for values in compositions(budget, parts))
 
 
 def _dcf_skeletons(q: int, s: int, need_one: bool = False) -> Iterator[_Skeleton]:
-    """(|A|, lengths, sign, count) over the skeletons of _dcf_iter(q, s,
-    need_one): every block is led by its minimum, the non-A blocks in
-    increasing and the A blocks in decreasing order of it.  With
-    need_one, the block of 1 comes last and carries value 0, so the
-    budget is spread over the other blocks and its sign does not count."""
+    """The skeletons of the valued A-distinguished forests of [s] with
+    |A| + sum(values) = q, keyed by |A|: every block is led by its
+    minimum, the non-A blocks in increasing and the A blocks in decreasing
+    order of it, and the budget q - |A| is spread over the values.  With
+    need_one, A holds 1, whose block comes last and carries value 0, so
+    the budget is spread over the other blocks and its sign does not
+    count."""
     shift = 1 if need_one else 0
     universe = tuple(range(1, s + 1))
     for i in range(0, min(q, s) + 1):
@@ -481,86 +442,78 @@ def _dcf_skeletons(q: int, s: int, need_one: bool = False) -> Iterator[_Skeleton
             if need_one and 1 not in aset:
                 continue
             rest = tuple(e for e in universe if e not in aset)
-            cparts = [(_lengths(reversed(led)), orders)
-                      for led, orders in _led_partitions(aset, aset)]
+            afro = frozenset(aset)
+            cparts = [(led[::-1], orders) for led, orders in _led_partitions(aset, aset)]
             for bled, borders in _led_partitions(rest, rest):
-                blengths = _lengths(bled)
-                for clengths, corders in cparts:
-                    lengths = blengths + clengths
+                for cled, corders in cparts:
+                    led = bled + cled
+                    parts = len(led) - shift
                     # no values fit when the budget is left with no block
-                    values = _composition_count(q - i, len(lengths) - shift)
+                    values = len(_value_vectors(q - i, parts, len(led)))
                     if values:
-                        yield (i, lengths, (-1) ** (len(clengths) - shift),
-                               borders * corders * values)
+                        yield (i, led, (-1) ** (len(cled) - shift),
+                               borders * corders * values, afro, parts, q - i)
 
 
 # ---------------------------------------------------------------------------
-# the four families, each described once; every enumerator and census below
-# is derived from these descriptions
+# the four families, each described once by its skeletons; every
+# enumerator and census below is derived from these descriptions
 
 
 class _Family(NamedTuple):
-    """A chain-forest family: the stream of its objects for (q, s), the
-    forest of an object, the statistic that keys its census and that its
-    enumerator selects on (q or |A|), the sign an object counts with, the
-    restriction an object must meet (None: none), whether only positions
-    passing _leader_position_ok count, the canonical sort key, and its
-    skeletons for (q, s): (head, lengths, sign, count) for each set
-    partition with leaders that stands for count >= 1 objects meeting the
-    restriction.
+    """A chain-forest family: the forest of an object, the statistic that
+    keys its census and that its enumerator selects on (q or |A|), the
+    sign an object counts with, whether only positions passing
+    _leader_position_ok count, the canonical sort key, and its skeletons
+    for (q, s), the one walk of the family.
 
-    The enumerators filter the stream, and the census reads only the
-    skeletons.  The stream with the head, sign and restriction is also the
-    per-object reference that the skeleton counts are tested against."""
+    The enumerator expands the skeletons into objects and filters them by
+    their own blocks, head and leader positions; the census tallies the
+    skeletons' heads, lengths, signs and counts, no object visited.  The
+    brute-force generator all_ordered_chain_forests, which shares no code
+    with the walk, is the independent reference for the expanded objects,
+    and the per-object head and sign are the reference for the census."""
 
-    stream: Callable[[int, int], Iterator]
     blocks: Callable[[Any], Forest]
     head: Callable[[Any], int]
     sign: Callable[[Any], int]
-    restrict: Optional[Callable[[Any], bool]]
     leader_split: bool
     sort_key: Callable[[Any], tuple]
     skeletons: Callable[[int, int], Iterator[_Skeleton]]
 
 
 # CF: naturally ordered forests of [s], keyed by their weight q
-_CF = _Family(stream=lambda q, s: naturally_ordered_forests(range(1, s + 1)),
-              blocks=lambda f: f, head=forest_weight, sign=lambda f: 1,
-              restrict=None, leader_split=False, sort_key=_canonical_key,
-              skeletons=_cf_skeletons)
+_CF = _Family(blocks=lambda f: f, head=forest_weight, sign=lambda f: 1,
+              leader_split=False, sort_key=_canonical_key,
+              skeletons=lambda q, s: _cf_skeletons(range(1, s + 1)))
 # CF1: forests of [s] whose last block is led by 1, keyed by the weight of
 # the other blocks plus the size of the 1-block
-_CF1 = _Family(stream=lambda q, s: _cf1_forests(s),
-               blocks=lambda f: f, head=lambda f: forest_weight(f[:-1]) + len(f[-1]),
-               sign=lambda f: 1, restrict=None, leader_split=True,
+_CF1 = _Family(blocks=lambda f: f, head=lambda f: forest_weight(f[:-1]) + len(f[-1]),
+               sign=lambda f: 1, leader_split=True,
                sort_key=_canonical_key, skeletons=_cf1_skeletons)
 # DCF: valued A-distinguished forests of budget q, keyed by |A|, signed by
 # the number of A blocks
-_DCF = _Family(stream=_dcf_iter, blocks=attrgetter("blocks"),
-               head=lambda d: len(d.aset),
+_DCF = _Family(blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
                sign=lambda d: (-1) ** distinguished_block_count(d),
-               restrict=None, leader_split=False, sort_key=_dcf_sort_key,
-               skeletons=_dcf_skeletons)
+               leader_split=False, sort_key=_dcf_sort_key, skeletons=_dcf_skeletons)
 # DCF1: those with 1 in A, so 1 leads the last block, and value 0 there;
 # keyed by |A|, signed by the number of A blocks other than the last
-_DCF1 = _Family(stream=lambda q, s: _dcf_iter(q, s, need_one=True),
-                blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
+_DCF1 = _Family(blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
                 sign=lambda d: (-1) ** (distinguished_block_count(d) - 1),
-                restrict=lambda d: d.values[-1] == 0, leader_split=True,
-                sort_key=_dcf_sort_key,
+                leader_split=True, sort_key=_dcf_sort_key,
                 skeletons=lambda q, s: _dcf_skeletons(q, s, need_one=True))
 
 
 def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int],
             m: Optional[int], head: Optional[int]) -> list:
     """The family's objects for (q, s) with k blocks, gamma(F, ell) = m and
-    the given head statistic (a filter given as None is skipped) that meet
-    its restriction and, for the leader-1 families, _leader_position_ok; in
-    canonical order.  The head is |A| (the i of a query) for the
-    distinguished families and q for the others."""
+    the given head statistic (a filter given as None is skipped) that meet,
+    for the leader-1 families, _leader_position_ok; in canonical order.
+    The head is |A| (the i of a query) for the distinguished families and
+    q for the others."""
     _check_query(q, s, k, ell, m, i=head)
     out = []
-    for item in family.stream(q, s):
+    for item in _expand(family.skeletons(q, s)):
         blocks = family.blocks(item)
         if k is not None and len(blocks) != k:
             continue
@@ -570,8 +523,6 @@ def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int
             continue
         if family.leader_split and not _leader_position_ok(
                 _leader_starts(map(len, blocks)), m, ell):
-            continue
-        if family.restrict and not family.restrict(item):
             continue
         out.append(item)
     out.sort(key=family.sort_key)
@@ -602,8 +553,7 @@ def tally_gamma(census: dict, head: tuple, lengths: Sequence[int],
 
 def _census(family: _Family, q: int, s: int, totals: Optional[dict] = None) -> dict:
     """dict (head, k, ell, m) -> signed count of the family's objects for
-    (q, s) that meet its restriction; with totals, also counts those
-    objects by (head, k) there.
+    (q, s); with totals, also counts those objects by (head, k) there.
 
     The head statistic, k, gamma and the leader-position test read only
     the block-length sequence, so the family's skeletons are tallied in two
@@ -613,7 +563,8 @@ def _census(family: _Family, q: int, s: int, totals: Optional[dict] = None) -> d
     cancel to 0, so that its cells are still present.
     """
     buckets: dict = {}
-    for head, lengths, sign, count in family.skeletons(q, s):
+    for head, led, sign, count, _, _, _ in family.skeletons(q, s):
+        lengths = tuple([len(b) for _, b, _ in led])
         key = (head, lengths)
         buckets[key] = buckets.get(key, 0) + sign * count
         if totals is not None:

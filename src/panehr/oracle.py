@@ -43,9 +43,14 @@ def count_points_panhandle(r: int, s: int, n: int, t: int) -> int:
     The polytope is cut out by 0 <= x_i <= t, sum of all coordinates
     equal to r*t, and the sum of the last n-s coordinates at most t.
     Counted by convolving coordinate ranges, splitting at coordinate s.
+    A rank r < 1 and a split s outside [0, n] are rejected.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
+    if r < 1:
+        raise ValueError(f"need rank r >= 1, got r={r}")
+    if not 0 <= s <= n:
+        raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     total = r * t
     head = _bounded_sum_counts(s, t)
     tail = _bounded_sum_counts(n - s, t)

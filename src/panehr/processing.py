@@ -43,7 +43,9 @@ split-index search.  The shape rules of a valued forest (one value per
 block, values nonnegative, blocks nonempty and disjoint) live in
 forests._shape_violation: check_distinguished raises on them, image_check
 rejects as condition 0, and _Run.load, _reconstruct and run_processing
-raise ValueError; _phi and _Run.__init__ take inputs already checked.
+raise ValueError; _Run.load also raises ValueError when a snapshot's P
+is not a subset of the blocks' elements or its L not a permutation of
+them.  _phi and _Run.__init__ take inputs already checked.
 The pairing battery (campaigns.run_involution) checks each streamed
 forest once, through involution_f on the minus side and positive_side
 elsewhere, and certifies a pairing image by finding it among the
@@ -136,9 +138,16 @@ class _Run:
 
     @classmethod
     def load(cls, state: AlgorithmState) -> "_Run":
-        """A run resumed from a snapshot, with the snapshot's own order L."""
+        """A run resumed from a snapshot, with the snapshot's own order L;
+        P must lie in the blocks' elements and L must be a permutation of
+        them."""
         if violation := _shape_violation(state.blocks, state.values):
             raise ValueError(violation)
+        elements = sorted(flatten(state.blocks))
+        if not set(elements).issuperset(state.processed):
+            raise ValueError("processed set P holds elements outside the blocks")
+        if sorted(state.order) != elements:
+            raise ValueError("order L is not a permutation of the blocks' elements")
         run = cls(state.blocks, state.values, state.processed)
         for i, x in enumerate(state.order):
             run.rank[x] = i

@@ -273,6 +273,34 @@ class TestEngineAgainstProducts:
                         expected = expected - reference_panhandle_form(r, size, n, 1)
                     assert ehr_paving(r, n, sizes) == expected, (r, n, sizes)
 
+    def test_product_simplex(self):
+        # a factor that degenerates to a point contributes the polynomial 1
+        for n in range(2, 11):
+            for s in range(1, n):
+                for r in range(1, s + 1):
+                    first = reference_hypersimplex(r - 1, s) if r >= 2 else Polynomial([1])
+                    second = (reference_hypersimplex(1, n - s) if n - s >= 2
+                              else Polynomial([1]))
+                    assert ehr_product_simplex(r, s, n) == first * second, (r, s, n)
+
+    def test_no_closed_form_multiplies_polynomials(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a closed form multiplied polynomials")
+
+        memos = [f for f in vars(ehrhart).values() if hasattr(f, "cache_clear")]
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        monkeypatch.setattr(Polynomial, "__rmul__", refuse)
+        for memo in memos:
+            memo.cache_clear()
+        try:
+            for r, s, n in [(1, 1, 2), (1, 3, 5), (2, 4, 7), (3, 3, 8)]:
+                phi_poly(r, s, n), psi_poly(r, s, n), ehr_panhandle(r, s, n)
+                relaxation_correction(r, s, n), ehr_product_simplex(r, s, n)
+                ehr_hypersimplex(r, n), ehr_paving(r, n, [s, s])
+        finally:
+            for memo in memos:
+                memo.cache_clear()
+
 
 ENGINE_CHECKS = """
 import json, sys

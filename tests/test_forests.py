@@ -1,5 +1,6 @@
 """Unit tests for the forest data model, enumerators, and closed forms."""
 
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -278,8 +279,9 @@ class TestDCF1:
 
 
 class TestFamilies:
-    # each keep mode of the chain generator against the matching filter of
-    # the brute-force generator, one naturally ordered forest per chain set
+    # each keep mode of the partition walk, expanded, against the matching
+    # filter of the brute-force generator, one naturally ordered forest per
+    # chain set
     KEEP_MODES = {
         "none": (lambda elems: (), lambda f: True),
         "every-leader": (lambda elems: elems,
@@ -292,7 +294,9 @@ class TestFamilies:
         make_keep, wanted = self.KEEP_MODES[mode]
         for s in range(1, 7):
             elems = tuple(range(1, s + 1))
-            made = [tuple(sorted(cs)) for cs in forests._chain_sets(elems, make_keep(elems))]
+            skeletons = ((0, led, 1, orders, None, 0, 0)
+                         for led, orders in forests._led_partitions(elems, make_keep(elems)))
+            made = [tuple(sorted(cs)) for cs in forests._expand(skeletons)]
             assert len(made) == len(set(made))
             assert set(made) == {f for f in all_ordered_chain_forests(elems)
                                  if is_naturally_ordered(f) and wanted(f)}
@@ -327,9 +331,7 @@ def _per_object_census(family, q, s, totals=None):
     """The census tallied object by object: each object visits every
     position, with the leader-position test spelled out on its blocks."""
     census = {}
-    for item in family.stream(q, s):
-        if family.restrict and not family.restrict(item):
-            continue
+    for item in forests._expand(family.skeletons(q, s)):
         blocks = family.blocks(item)
         head, k = family.head(item), len(blocks)
         if totals is not None:
@@ -374,10 +376,11 @@ class TestCensusAgainstPerObjectTally:
     def test_bucket_summing_to_zero_is_expanded(self):
         # in the four families the head and the lengths fix the sign, so no
         # bucket cancels there; a family with opposite signs in one bucket
+        one, two = (1, (1,), 0), (2, (2,), 0)
         family = forests._CF._replace(
-            stream=lambda q, s: iter([((1,), (2,)), ((2,), (1,))]),
             sign=lambda f: 1 if f[0] == (1,) else -1,
-            skeletons=lambda q, s: iter([(0, (1, 1), 1, 1), (0, (1, 1), -1, 1)]))
+            skeletons=lambda q, s: iter([(0, (one, two), 1, 1, None, 0, 0),
+                                         (0, (two, one), -1, 1, None, 0, 0)]))
         assert forests._census(family, 0, 2) == _per_object_census(family, 0, 2) == \
             {(0, 2, 0, 2): 0, (0, 2, 1, 1): 0}
 
@@ -398,12 +401,11 @@ class TestSkeletons:
             for q in range(0, 5) if distinguished else [0]:
                 # objects and skeleton counts by (head, lengths), unsigned
                 listed, counted = {}, {}
-                for item in family.stream(q, s):
-                    if family.restrict and not family.restrict(item):
-                        continue
+                for item in forests._expand(family.skeletons(q, s)):
                     key = (family.head(item), tuple(map(len, family.blocks(item))))
                     listed[key] = listed.get(key, 0) + 1
-                for head, lengths, _, count in family.skeletons(q, s):
+                for head, led, _, count, _, _, _ in family.skeletons(q, s):
+                    lengths = tuple(len(b) for _, b, _ in led)
                     counted[head, lengths] = counted.get((head, lengths), 0) + count
                 # equal per (head, lengths), so also in total
                 assert counted == listed, (q, s)
@@ -416,7 +418,7 @@ class TestSkeletons:
             assert sum(n for (_, kk), n in totals.items() if kk == k) == lah, k
 
     def test_census_reads_no_object_stream(self, monkeypatch):
-        # a census that went back to visiting objects would raise here
+        # a census that went back to expanding objects would raise here
         censuses = (forests.cf_census, forests.cf1_census,
                     forests.dcf_signed_census, forests.dcf1_signed_census)
         expected = [(forests.cf_census(s), forests.cf1_census(s))
@@ -425,12 +427,10 @@ class TestSkeletons:
                                  forests.dcf1_signed_census(q, s))
                         for q in range(0, 5) for s in range(0, 5)}
 
-        def no_stream(q, s):
-            raise AssertionError("census visited the object stream")
+        def no_expansion(skeletons):
+            raise AssertionError("census expanded the objects")
 
-        for attr in ("_CF", "_CF1", "_DCF", "_DCF1"):
-            monkeypatch.setattr(forests, attr,
-                                getattr(forests, attr)._replace(stream=no_stream))
+        monkeypatch.setattr(forests, "_expand", no_expansion)
         for census in censuses:
             census.cache_clear()
         try:
@@ -442,6 +442,46 @@ class TestSkeletons:
         finally:
             for census in censuses:
                 census.cache_clear()
+
+
+def _brute_distinguished(q, s):
+    """Every valued A-distinguished forest of [s] with budget q, read off
+    the brute-force generator: each ordered chain forest, each A and each
+    composition of q - |A| that check_distinguished accepts."""
+    universe = range(1, s + 1)
+    found = set()
+    for f in all_ordered_chain_forests(universe):
+        for i in range(min(q, s) + 1):
+            for aset in combinations(universe, i):
+                for values in forests.compositions(q - i, len(f)):
+                    d = Distinguished(f, values, frozenset(aset))
+                    try:
+                        forests.check_distinguished(d)
+                    except ValueError:
+                        continue
+                    found.add(d)
+    return found
+
+
+class TestStreamsAgainstBruteForce:
+    """The distinguished streams, expanded from their skeletons, are
+    exactly the brute-force objects, each once."""
+
+    @pytest.mark.parametrize("s", range(0, 5))
+    def test_dcf(self, s):
+        for q in range(0, 4):
+            streamed = list(forests.iter_dcf(q, s))
+            assert len(streamed) == len(set(streamed))
+            assert set(streamed) == _brute_distinguished(q, s), q
+
+    @pytest.mark.parametrize("s", range(0, 5))
+    def test_dcf1(self, s):
+        # 1 in A, so 1 leads the last block, and value 0 there
+        for q in range(0, 4):
+            streamed = list(forests._expand(forests._DCF1.skeletons(q, s)))
+            assert len(streamed) == len(set(streamed))
+            assert set(streamed) == {d for d in _brute_distinguished(q, s)
+                                     if 1 in d.aset and d.values[-1] == 0}, q
 
 
 class TestTextFormat:

@@ -78,6 +78,16 @@ class TestPanhandleCounts:
         with pytest.raises(ValueError):
             count_points_panhandle(1, 1, 2, -1)
 
+    @pytest.mark.parametrize("r, s, n, message", [
+        (0, 1, 2, "need rank r >= 1, got r=0"),
+        (1, 5, 3, "need 0 <= s <= n, got s=5, n=3"),
+        (1, -1, 3, "need 0 <= s <= n, got s=-1, n=3"),
+    ], ids=["rank-zero", "split-above-n", "split-negative"])
+    def test_rejects_a_split_that_does_not_exist(self, r, s, n, message):
+        with pytest.raises(ValueError) as exc:
+            count_points_panhandle(r, s, n, 1)
+        assert str(exc.value) == message
+
 
 class TestPavingCounts:
     def test_no_hyperplanes_is_hypersimplex(self):

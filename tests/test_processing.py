@@ -410,13 +410,26 @@ MALFORMED = [
                  "blocks must be nonempty and disjoint", id="reverse_step-repeated-element"),
     pytest.param(run_processing, (Valued(((1,), (2,)), (1,)),),
                  "one value per block required", id="run_processing-short-values"),
+    pytest.param(process_step, (AlgorithmState(((1,), (2,)), (1, 0), frozenset({5}), (1, 2)),),
+                 "processed set P holds elements outside the blocks",
+                 id="process_step-foreign-processed"),
+    pytest.param(process_step, (AlgorithmState(((1,), (2,)), (1, 0), frozenset(), (2, 1, 7)),),
+                 "order L is not a permutation", id="process_step-foreign-order"),
+    pytest.param(process_step, (AlgorithmState(((1,), (2,)), (1, 0), frozenset(), (1,)),),
+                 "order L is not a permutation", id="process_step-short-order"),
+    pytest.param(reverse_step, (AlgorithmState(((1,), (2,)), (1, 0), frozenset({5}), (1, 2)), 1),
+                 "processed set P holds elements outside the blocks",
+                 id="reverse_step-foreign-processed"),
+    pytest.param(reverse_step, (AlgorithmState(((1,), (2,)), (1, 0), frozenset({2}), (2, 1, 7)), 1),
+                 "order L is not a permutation", id="reverse_step-foreign-order"),
 ]
 
 
 @pytest.mark.parametrize("entry, args, rule", MALFORMED)
 def test_malformed_valued_forest_is_rejected(entry, args, rule):
     # these entry points skip check_distinguished; each must still refuse a
-    # forest that breaks a shape rule rather than answer or raise IndexError
+    # forest or snapshot that breaks a shape rule rather than answer or
+    # raise IndexError
     if entry is image_check:
         verdict = image_check(*args)
         assert not verdict and verdict.reason == f"condition 0: {rule}"
