@@ -10,12 +10,15 @@ polynomial of a paving matroid from nothing but its rank, ground-set
 size, and hyperplane sizes.
 
 Each closed form (phi_poly, psi_poly, ehr_panhandle, the relaxation
-correction and the hypersimplex) is built the same way: its formula is
-evaluated at t = 0, 1, ..., one point beyond its degree bound, with int
-arithmetic, and exactmath.interpolate turns the values into the
+correction, the hypersimplex and ehr_paving) is built the same way: its
+formula is evaluated at t = 0, 1, ..., one point beyond its degree bound,
+into a row of ints, and exactmath.interpolate turns the row into the
 polynomial once, raising AssertionError (also under python -O) when the
-extra value is off the interpolant.  No binomial polynomial is ever
-multiplied out.
+extra value is off the interpolant.  The double sum behind phi_poly and
+psi_poly runs over falling factorials with int multiplies only, no
+binomial call; ehr_paving subtracts the cached correction rows from the
+hypersimplex row and interpolates the difference.  No closed form does
+Polynomial arithmetic.
 
 All arithmetic is exact; every formula here is certified elsewhere
 against direct lattice-point counts.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactmath import ZERO, Polynomial, binomial, interpolate, poly_leq
 from .forests import _check_query, _summand
@@ -55,14 +58,18 @@ def validate_paving(r: int, n: int, hyperplane_sizes: Sequence[int]) -> None:
             raise ValueError(f"hyperplane size {size} outside [{r}, {n - 1}]")
 
 
-def _interpolated(value: Callable[[int], int], degree: int) -> Polynomial:
-    """The polynomial of degree at most `degree` taking value(t) at every
-    integer t.  It samples t = 0..degree+1, one point beyond what the degree
-    needs, and raises when that point is off the interpolant, so a wrong
-    degree bound cannot yield a plausible wrong polynomial."""
-    samples = [(t, value(t)) for t in range(degree + 2)]
+def _row(value: Callable[[int], int], degree: int) -> tuple[int, ...]:
+    """value(t) at t = 0..degree+1: one sample beyond what the degree needs."""
+    return tuple(value(t) for t in range(degree + 2))
+
+
+def _interpolated(row: Sequence[int]) -> Polynomial:
+    """The polynomial of degree at most len(row)-2 taking the value row[t]
+    at t = 0, 1, ....  The last sample is one beyond what the degree needs;
+    when it is off the interpolant this raises, so a wrong degree bound
+    cannot yield a plausible wrong polynomial."""
     try:
-        return interpolate(samples, degree)
+        return interpolate(list(enumerate(row)), len(row) - 2)
     except ValueError as exc:
         raise AssertionError(f"closed form: {exc}") from exc
 
@@ -70,8 +77,11 @@ def _interpolated(value: Callable[[int], int], degree: int) -> Polynomial:
 def _factor(r: int, s: int, n: int, shift: int) -> Callable[[int], int]:
     """Double sum behind phi_poly (shift 0) and psi_poly (shift 1, which
     lowers the first binomial argument by one), as a function of the
-    integer t."""
-    weights = [math.factorial(n - 2 - ell) * math.factorial(ell) for ell in range(s)]
+    integer t.  Int multiplies only: no binomial call, no division."""
+    # ell! (n-2-ell)! C(x-ell, s-1-ell) C(y, ell)
+    #   = (n-2-ell)!/(s-1-ell)! * (y)_ell * (x-ell)_(s-1-ell), with (x)_k the
+    # falling factorial, at every integer x and y (binomial's convention)
+    coeffs = [math.factorial(n - 2 - ell) // math.factorial(s - 1 - ell) for ell in range(s)]
     signs = [(-1) ** i * binomial(s, i) for i in range(s - r + 1)]
 
     def value(t: int) -> int:
@@ -80,8 +90,13 @@ def _factor(r: int, s: int, n: int, shift: int) -> Callable[[int], int]:
             alpha = s - r - i
             first = (alpha + 1) * t + s - 1 - shift - i
             second = alpha * t + s - 1 - i
-            total += sign * sum(w * binomial(first - ell, s - 1 - ell) * binomial(second, ell)
-                                for ell, w in enumerate(weights))
+            # Horner in the (first - ell) factors: after step ell, inner is the
+            # sum of the terms up to ell over (first-ell)_(s-1-ell), 1 at ell = s-1
+            inner, head = 0, 1  # head = (second)_ell
+            for ell, c in enumerate(coeffs):
+                inner = inner * (first - ell + 1) + c * head
+                head *= second - ell
+            total += sign * inner
         return total
 
     return value
@@ -90,7 +105,7 @@ def _factor(r: int, s: int, n: int, shift: int) -> Callable[[int], int]:
 def _factor_poly(r: int, s: int, n: int, shift: int) -> Polynomial:
     """phi_poly (shift 0) or psi_poly (shift 1); degree at most s-1."""
     validate_panhandle(r, s, n)
-    return _interpolated(_factor(r, s, n, shift), s - 1)
+    return _interpolated(_row(_factor(r, s, n, shift), s - 1))
 
 
 @lru_cache(maxsize=None)
@@ -113,10 +128,10 @@ def psi_poly(r: int, s: int, n: int) -> Polynomial:
     return _factor_poly(r, s, n, 1)
 
 
-def _panhandle_form(r: int, s: int, n: int, shift: int) -> Polynomial:
+def _panhandle_row(r: int, s: int, n: int, shift: int) -> tuple[int, ...]:
     """(n-s)/(n-1)! * C(t + n-s-shift, n-s) times the double sum of the
-    same shift: ehr_panhandle for shift 0, relaxation_correction for
-    shift 1; degree at most n-1."""
+    same shift at t = 0..n: ehr_panhandle for shift 0, relaxation_correction
+    for shift 1; degree at most n-1."""
     validate_panhandle(r, s, n)
     factor = _factor(r, s, n, shift)
     scale = math.factorial(n - 1)
@@ -128,13 +143,19 @@ def _panhandle_form(r: int, s: int, n: int, shift: int) -> Polynomial:
             raise AssertionError(f"closed form is not an integer at t={t}")
         return count
 
-    return _interpolated(value, n - 1)
+    return _row(value, n - 1)
+
+
+@lru_cache(maxsize=None)
+def _correction_row(r: int, s: int, n: int) -> tuple[int, ...]:
+    """relaxation_correction at t = 0..n."""
+    return _panhandle_row(r, s, n, 1)
 
 
 @lru_cache(maxsize=None)
 def ehr_panhandle(r: int, s: int, n: int) -> Polynomial:
     """Ehrhart polynomial of the panhandle polytope Pan(r, s, n)."""
-    poly = _panhandle_form(r, s, n, 0)
+    poly = _interpolated(_panhandle_row(r, s, n, 0))
     if poly.degree != n - 1:
         raise AssertionError("panhandle Ehrhart polynomial has wrong degree")
     if poly.coefficient(0) != 1:
@@ -153,9 +174,15 @@ def _hypersimplex_count(r: int, n: int, t: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _hypersimplex_row(r: int, n: int) -> tuple[int, ...]:
+    """Hypersimplex lattice-point counts at t = 0..n."""
+    return _row(lambda t: _hypersimplex_count(r, n, t), n - 1)
+
+
+@lru_cache(maxsize=None)
 def _hypersimplex(r: int, n: int) -> Polynomial:
     """Hypersimplex Ehrhart polynomial for 1 <= r <= n-1."""
-    return _interpolated(lambda t: _hypersimplex_count(r, n, t), n - 1)
+    return _interpolated(_hypersimplex_row(r, n))
 
 
 def ehr_hypersimplex(r: int, n: int) -> Polynomial:
@@ -182,30 +209,33 @@ def ehr_product_simplex(r: int, s: int, n: int) -> Polynomial:
     """
     validate_panhandle(r, s, n)
     # the degrees of the factors, s-1 and n-s-1 at most, add up to n-2
-    return _interpolated(
-        lambda t: _hypersimplex_count(r - 1, s, t) * _hypersimplex_count(1, n - s, t), n - 2)
+    return _interpolated(_row(
+        lambda t: _hypersimplex_count(r - 1, s, t) * _hypersimplex_count(1, n - s, t), n - 2))
 
 
 @lru_cache(maxsize=None)
 def relaxation_correction(r: int, s: int, n: int) -> Polynomial:
     """Ehrhart difference contributed by relaxing one stressed hyperplane
     of size s in a rank-r matroid on [n]."""
-    return _panhandle_form(r, s, n, 1)
+    return _interpolated(_correction_row(r, s, n))
 
 
-def ehr_paving(r: int, n: int, hyperplane_sizes: Sequence[int]) -> Polynomial:
+def ehr_paving(r: int, n: int, hyperplane_sizes: Iterable[int]) -> Polynomial:
     """Ehrhart polynomial of a paving matroid from its hyperplane sizes.
 
     Start from the hypersimplex and subtract one relaxation correction per
     stressed hyperplane of size at least r; only the sizes matter.  Sizes
-    must lie in [r, n-1]; the list may be empty, which yields the
-    hypersimplex itself.  Whether the multiset comes from an actual
-    paving matroid is the caller's responsibility.
+    must lie in [r, n-1]; there may be none, which yields the hypersimplex
+    itself.  Whether the multiset comes from an actual paving matroid is
+    the caller's responsibility.  The values at t = 0..n are subtracted as
+    ints and the difference is interpolated once.
     """
-    validate_paving(r, n, hyperplane_sizes)
-    poly = _hypersimplex(r, n)
-    for size in hyperplane_sizes:
-        poly = poly - relaxation_correction(r, size, n)
+    sizes = tuple(hyperplane_sizes)
+    validate_paving(r, n, sizes)
+    row = _hypersimplex_row(r, n)
+    for size in sizes:
+        row = [count - cut for count, cut in zip(row, _correction_row(r, size, n))]
+    poly = _interpolated(row)
     if poly.coefficient(0) != 1:
         raise AssertionError("constant term must be 1")
     return poly

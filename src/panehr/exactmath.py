@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -39,6 +40,8 @@ def binomial(n: int, k: int) -> int:
     return num // math.factorial(k)
 
 
+# the closed-form summands of forests ask for few distinct ranges, many times
+@lru_cache(maxsize=None)
 def pi_range(a: int, b: int, n: int) -> int:
     """Sum of all products of n distinct integers i with a <= i <= b.
 

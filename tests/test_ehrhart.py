@@ -178,6 +178,14 @@ class TestPaving:
         # rank 1 on two elements with the size-1 hyperplane leaves one basis
         assert ehr_paving(1, 2, [1]) == Polynomial([1])
 
+    def test_sizes_read_once(self):
+        # a one-shot iterable is validated and subtracted from the same sizes
+        expected = Polynomial([1, Fraction(13, 6), Fraction(3, 2), Fraction(1, 3)])
+        assert ehr_paving(2, 4, [2]) == expected
+        assert ehr_paving(2, 4, iter([2])) == expected
+        assert ehr_paving(2, 4, (size for size in [2])) == expected
+        assert ehr_paving(3, 6, iter([3, 3, 4])) == ehr_paving(3, 6, [3, 3, 4])
+
 
 class TestUpperExpression:
     def test_matches_enumeration_small(self):
@@ -237,6 +245,20 @@ def reference_factor(r, s, n, shift):
     return total
 
 
+def reference_factor_value(r, s, n, shift, t):
+    """The double sum at the integer t, one binomial pair per term."""
+    total = 0
+    for i in range(s - r + 1):
+        alpha = s - r - i
+        first = (alpha + 1) * t + s - 1 - shift - i
+        second = alpha * t + s - 1 - i
+        total += (-1) ** i * binomial(s, i) * sum(
+            factorial(n - 2 - ell) * factorial(ell)
+            * binomial(first - ell, s - 1 - ell) * binomial(second, ell)
+            for ell in range(s))
+    return total
+
+
 @lru_cache(maxsize=None)
 def reference_panhandle_form(r, s, n, shift):
     """ehr_panhandle (shift 0) and relaxation_correction (shift 1)."""
@@ -262,16 +284,38 @@ class TestEngineAgainstProducts:
                     assert relaxation_correction(r, s, n) == \
                         reference_panhandle_form(r, s, n, 1), (r, s, n)
 
+    def test_factor_matches_binomial_double_sum(self):
+        # every integer t, negative binomial upper arguments included
+        for n in range(2, 13):
+            for s in range(1, n):
+                for r in range(1, s + 1):
+                    for shift in (0, 1):
+                        value = ehrhart._factor(r, s, n, shift)
+                        for t in range(-3, 2 * n + 1):
+                            assert value(t) == reference_factor_value(r, s, n, shift, t), \
+                                (r, s, n, shift, t)
+
+    def test_factor_makes_no_binomial_call(self, monkeypatch):
+        value = ehrhart._factor(2, 6, 9, 1)
+
+        def refuse(n, k):
+            raise AssertionError("the double sum called binomial")
+
+        monkeypatch.setattr(ehrhart, "binomial", refuse)
+        for t in range(-3, 19):
+            value(t)
+
     def test_hypersimplex_and_paving(self):
         for n in range(2, 11):
             for r in range(1, n):
                 uniform = reference_hypersimplex(r, n)
                 assert ehr_hypersimplex(r, n) == uniform, (r, n)
-                for sizes in combinations_with_replacement(range(r, n), 2):
-                    expected = uniform
-                    for size in sizes:
-                        expected = expected - reference_panhandle_form(r, size, n, 1)
-                    assert ehr_paving(r, n, sizes) == expected, (r, n, sizes)
+                for count in range(4):
+                    for sizes in combinations_with_replacement(range(r, n), count):
+                        expected = uniform
+                        for size in sizes:
+                            expected = expected - reference_panhandle_form(r, size, n, 1)
+                        assert ehr_paving(r, n, sizes) == expected, (r, n, sizes)
 
     def test_product_simplex(self):
         # a factor that degenerates to a point contributes the polynomial 1
@@ -284,12 +328,12 @@ class TestEngineAgainstProducts:
                     assert ehr_product_simplex(r, s, n) == first * second, (r, s, n)
 
     def test_no_closed_form_multiplies_polynomials(self, monkeypatch):
-        def refuse(self, other):
-            raise AssertionError("a closed form multiplied polynomials")
+        def refuse(self, *other):
+            raise AssertionError("a closed form did polynomial arithmetic")
 
         memos = [f for f in vars(ehrhart).values() if hasattr(f, "cache_clear")]
-        monkeypatch.setattr(Polynomial, "__mul__", refuse)
-        monkeypatch.setattr(Polynomial, "__rmul__", refuse)
+        for op in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+            monkeypatch.setattr(Polynomial, op, refuse)
         for memo in memos:
             memo.cache_clear()
         try:
@@ -328,7 +372,7 @@ for name, call in [("phi", lambda: ehrhart.phi_poly.__wrapped__(2, 4, 6)),
         out[name] = str(exc)
 ehrhart.interpolate = real
 try:
-    out["low"] = str(ehrhart._interpolated(lambda t: t ** 3, 2))
+    out["low"] = str(ehrhart._interpolated([t ** 3 for t in range(4)]))
 except AssertionError as exc:
     out["low"] = str(exc)
 real_factor = ehrhart._factor
