@@ -17,8 +17,8 @@ polynomial once, raising AssertionError (also under python -O) when the
 extra value is off the interpolant.  The double sum behind phi_poly and
 psi_poly runs over falling factorials with int multiplies only, no
 binomial call; ehr_paving subtracts the cached correction rows from the
-hypersimplex row and interpolates the difference.  No closed form does
-Polynomial arithmetic.
+hypersimplex row and interpolates the difference once per multiset of
+sizes.  No closed form does Polynomial arithmetic.
 
 All arithmetic is exact; every formula here is certified elsewhere
 against direct lattice-point counts.
@@ -128,6 +128,7 @@ def psi_poly(r: int, s: int, n: int) -> Polynomial:
     return _factor_poly(r, s, n, 1)
 
 
+@lru_cache(maxsize=None)
 def _panhandle_row(r: int, s: int, n: int, shift: int) -> tuple[int, ...]:
     """(n-s)/(n-1)! * C(t + n-s-shift, n-s) times the double sum of the
     same shift at t = 0..n: ehr_panhandle for shift 0, relaxation_correction
@@ -144,12 +145,6 @@ def _panhandle_row(r: int, s: int, n: int, shift: int) -> tuple[int, ...]:
         return count
 
     return _row(value, n - 1)
-
-
-@lru_cache(maxsize=None)
-def _correction_row(r: int, s: int, n: int) -> tuple[int, ...]:
-    """relaxation_correction at t = 0..n."""
-    return _panhandle_row(r, s, n, 1)
 
 
 @lru_cache(maxsize=None)
@@ -180,11 +175,6 @@ def _hypersimplex_row(r: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _hypersimplex(r: int, n: int) -> Polynomial:
-    """Hypersimplex Ehrhart polynomial for 1 <= r <= n-1."""
-    return _interpolated(_hypersimplex_row(r, n))
-
-
 def ehr_hypersimplex(r: int, n: int) -> Polynomial:
     """Ehrhart polynomial of the hypersimplex (the uniform matroid polytope).
 
@@ -193,7 +183,7 @@ def ehr_hypersimplex(r: int, n: int) -> Polynomial:
     exceeding t.  Requires 1 <= r <= n-1.
     """
     validate_rank(r, n)
-    poly = _hypersimplex(r, n)
+    poly = _interpolated(_hypersimplex_row(r, n))
     if poly.degree != n - 1 or poly.coefficient(0) != 1:
         raise AssertionError("hypersimplex Ehrhart polynomial has wrong degree "
                              "or constant term")
@@ -217,7 +207,7 @@ def ehr_product_simplex(r: int, s: int, n: int) -> Polynomial:
 def relaxation_correction(r: int, s: int, n: int) -> Polynomial:
     """Ehrhart difference contributed by relaxing one stressed hyperplane
     of size s in a rank-r matroid on [n]."""
-    return _interpolated(_correction_row(r, s, n))
+    return _interpolated(_panhandle_row(r, s, n, 1))
 
 
 def ehr_paving(r: int, n: int, hyperplane_sizes: Iterable[int]) -> Polynomial:
@@ -227,14 +217,20 @@ def ehr_paving(r: int, n: int, hyperplane_sizes: Iterable[int]) -> Polynomial:
     stressed hyperplane of size at least r; only the sizes matter.  Sizes
     must lie in [r, n-1]; there may be none, which yields the hypersimplex
     itself.  Whether the multiset comes from an actual paving matroid is
-    the caller's responsibility.  The values at t = 0..n are subtracted as
-    ints and the difference is interpolated once.
+    the caller's responsibility.
     """
-    sizes = tuple(hyperplane_sizes)
+    sizes = tuple(sorted(hyperplane_sizes))
     validate_paving(r, n, sizes)
+    return _paving(r, n, sizes)
+
+
+@lru_cache(maxsize=None)
+def _paving(r: int, n: int, sizes: tuple[int, ...]) -> Polynomial:
+    """ehr_paving for a sorted tuple of valid sizes: the values at t = 0..n
+    are subtracted as ints and the difference is interpolated once."""
     row = _hypersimplex_row(r, n)
     for size in sizes:
-        row = [count - cut for count, cut in zip(row, _correction_row(r, size, n))]
+        row = [count - cut for count, cut in zip(row, _panhandle_row(r, size, n, 1))]
     poly = _interpolated(row)
     if poly.coefficient(0) != 1:
         raise AssertionError("constant term must be 1")
