@@ -18,17 +18,17 @@ leader per block, the blocks in family order, and for the distinguished
 forests the set A and the budget left for the values.  A skeleton stands
 for the (|B|-1)! orders of every block's other elements, times, for the
 distinguished forests, the number of value compositions.  The object
-streams expand the skeletons into those objects, and the exhaustive
-enumerators filter the objects by their own blocks.  The censuses count
-the same objects without visiting one: a census key reads only each
-block's element set and leader (the weight counts the elements below
-the leader, and k, gamma at each position and the leader-position test
-read only the block lengths), so a census tallies each skeleton's count
-by (head, lengths) and expands each distinct bucket into its (k, ell, m)
-cells once.  The skeleton counts use factorials and composition counts
-only, nothing of the closed forms.  The brute-force generator
-all_ordered_chain_forests (every permutation cut into blocks) shares no
-code with the walk and is the independent reference for the streams.
+streams expand the skeletons into those objects.  A census key reads
+only each block's element set and leader (the weight counts the elements
+below the leader, and k, gamma at each position and the leader-position
+test read only the block lengths), so a census tallies each skeleton's
+count by (head, lengths) and expands each distinct bucket into its
+(k, ell, m) cells once, no object visited, and an exhaustive enumerator
+expands only the skeletons in the query's cell, by that rule (tally_gamma).
+The skeleton counts use factorials and composition counts only, nothing
+of the closed forms.  The brute-force generator all_ordered_chain_forests
+(every permutation cut into blocks) shares no code with the walk and is
+the independent reference for the streams.
 
 The enumerators and the closed forms own the rules of a query
 (q, s, k, ell, m), with the |A| slice i of the per-term side, and share
@@ -467,12 +467,12 @@ class _Family(NamedTuple):
     _leader_position_ok count, the canonical sort key, and its skeletons
     for (q, s), the one walk of the family.
 
-    The enumerator expands the skeletons into objects and filters them by
-    their own blocks, head and leader positions; the census tallies the
-    skeletons' heads, lengths, signs and counts, no object visited.  The
-    brute-force generator all_ordered_chain_forests, which shares no code
+    The census tallies the skeletons' heads, lengths, signs and counts and
+    the enumerator expands only the skeletons in the query's cell, neither
+    reading an object.  all_ordered_chain_forests, which shares no code
     with the walk, is the independent reference for the expanded objects,
-    and the per-object head and sign are the reference for the census."""
+    and the per-object blocks, head and sign are the reference for the
+    census and the enumerators' skeleton filter."""
 
     blocks: Callable[[Any], Forest]
     head: Callable[[Any], int]
@@ -506,27 +506,25 @@ _DCF1 = _Family(blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
 
 def _select(family: _Family, q: int, s: int, k: Optional[int], ell: Optional[int],
             m: Optional[int], head: Optional[int]) -> list:
-    """The family's objects for (q, s) with k blocks, gamma(F, ell) = m and
-    the given head statistic (a filter given as None is skipped) that meet,
-    for the leader-1 families, _leader_position_ok; in canonical order.
-    The head is |A| (the i of a query) for the distinguished families and
-    q for the others."""
+    """The family's objects for (q, s) with the given head statistic, k
+    blocks and, with ell given, in the census cell (k, ell, m); a filter
+    given as None is skipped.  The head is |A| (the i of a query) for the
+    distinguished families and q for the others.  Only the skeletons in
+    the cell are expanded, the cell read by tally_gamma, the census's own
+    rule, from their lengths; the objects come in canonical order."""
     _check_query(q, s, k, ell, m, i=head)
-    out = []
-    for item in _expand(family.skeletons(q, s)):
-        blocks = family.blocks(item)
-        if k is not None and len(blocks) != k:
-            continue
-        if ell is not None and gamma(blocks, ell) != m:
-            continue
-        if head is not None and family.head(item) != head:
-            continue
-        if family.leader_split and not _leader_position_ok(
-                _leader_starts(map(len, blocks)), m, ell):
-            continue
-        out.append(item)
-    out.sort(key=family.sort_key)
-    return out
+
+    def in_cell(skeleton: _Skeleton) -> bool:
+        led = skeleton[1]
+        if head is not None and skeleton[0] != head or k is not None and len(led) != k:
+            return False
+        if ell is None:  # every leader-1 cell needs ell, the leader's position
+            return not family.leader_split
+        cells: dict = {}
+        tally_gamma(cells, (), [len(b) for _, b, _ in led], 1, family.leader_split)
+        return (len(led), ell, m) in cells
+
+    return sorted(_expand(filter(in_cell, family.skeletons(q, s))), key=family.sort_key)
 
 
 def tally_gamma(census: dict, head: tuple, lengths: Sequence[int],

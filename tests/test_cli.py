@@ -456,6 +456,11 @@ def _python(*argv):
                           text=True, timeout=120, check=True)
 
 
+def test_python_m_panehr_runs_main(capsys):
+    argv = ["enumerate", "forests", "--q", "0", "--s", "3", "--k", "2"]
+    assert _python("-m", "panehr", *argv).stdout == _invoke(capsys, main, argv)[1]
+
+
 class TestOneParser:
     """main reuses one parser per process; no call may leak into the next."""
 

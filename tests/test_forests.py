@@ -1,6 +1,6 @@
 """Unit tests for the forest data model, enumerators, and closed forms."""
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -327,6 +327,17 @@ class TestFamilies:
                                         signed_sum(q, s, k, ell, m, i)
 
 
+FAMILIES = {"cf": forests._CF, "cf1": forests._CF1,
+            "dcf": forests._DCF, "dcf1": forests._DCF1}
+
+
+def _leader_at(blocks, ell, m):
+    """The leader of the (k-m+2)-th block sits at 1-based position ell+2,
+    spelled out on the blocks."""
+    idx = len(blocks) - m + 2
+    return 1 <= idx <= len(blocks) and 1 + sum(map(len, blocks[:idx - 1])) == ell + 2
+
+
 def _per_object_census(family, q, s, totals=None):
     """The census tallied object by object: each object visits every
     position, with the leader-position test spelled out on its blocks."""
@@ -337,13 +348,115 @@ def _per_object_census(family, q, s, totals=None):
         if totals is not None:
             totals[head, k] = totals.get((head, k), 0) + 1
         for ell, m in enumerate(forests.gamma_vector(blocks)):
-            if family.leader_split:
-                idx = k - m + 2
-                if not 1 <= idx <= k or 1 + sum(map(len, blocks[:idx - 1])) != ell + 2:
-                    continue
+            if family.leader_split and not _leader_at(blocks, ell, m):
+                continue
             key = (head, k, ell, m)
             census[key] = census.get(key, 0) + family.sign(item)
     return census
+
+
+def _per_object_lists(family, stream, s):
+    """Every enumerator query's list for the expanded stream of (q, s),
+    filtered object by object: each object joins the list of every
+    (k, ell, m, head) it meets by its own block count, head, gamma and,
+    for the leader-1 families, leader position, where a filter given as
+    None is met by every object.  Lists in canonical order."""
+    lists = {}
+    for item in stream:
+        blocks = family.blocks(item)
+        cells = [(None, None)] + [
+            (ell, m) for ell in range(s) for m in [forests.gamma(blocks, ell)]
+            if not family.leader_split or _leader_at(blocks, ell, m)]
+        for k, (ell, m), head in product((None, len(blocks)), cells,
+                                         (None, family.head(item))):
+            lists.setdefault((k, ell, m, head), []).append(item)
+    return {query: sorted(items, key=family.sort_key) for query, items in lists.items()}
+
+
+class TestSelect:
+    """An enumerator expands only the skeletons in its query's cell and
+    returns what filtering every object of the family would."""
+
+    @staticmethod
+    def queries(name, q, s):
+        """Every valid query of the family for (q, s), as the arguments
+        (k, ell, m, head) of _select."""
+        ks = [None, *range(1, s + 1)] if name == "dcf" else range(1, s + 1)
+        for k in ks:
+            for ell, m in ([(None, None)] if name in ("cf", "dcf") else []) + [
+                    (ell, m) for ell in range(s) for m in range(1, (k or s) + 1)
+                    if m >= 2 or not name.endswith("1")]:
+                for head in [q] if name.startswith("cf") else [None, *range(q + 1)]:
+                    yield k, ell, m, head
+
+    @staticmethod
+    def enumerate(name, q, s, k, ell, m, head):
+        if name == "cf":
+            return enumerate_cf(q, s, k, ell, m)
+        if name == "cf1":
+            return enumerate_cf1(q, s, k, ell, m)
+        enum = enumerate_dcf if name == "dcf" else enumerate_dcf1
+        return enum(q, s, k, ell, m, size_a=head)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_the_per_object_filter(self, name):
+        family = FAMILIES[name]
+        for s in range(0, 6):
+            for q in range(0, 4):
+                lists = _per_object_lists(family, forests._expand(family.skeletons(q, s)), s)
+                for query in self.queries(name, q, s):
+                    assert self.enumerate(name, q, s, *query) == lists.get(query, []), \
+                        (q, s, query)
+
+    def test_expands_only_its_matches(self, monkeypatch):
+        expanded = []
+        expand = forests._expand
+
+        def counting(skeletons):
+            for item in expand(skeletons):
+                expanded.append(item)
+                yield item
+
+        monkeypatch.setattr(forests, "_expand", counting)
+        for name in sorted(FAMILIES):
+            for s in range(0, 5):
+                for q in range(0, 3):
+                    for query in self.queries(name, q, s):
+                        expanded.clear()
+                        listed = self.enumerate(name, q, s, *query)
+                        assert len(expanded) == len(listed), (name, q, s, query)
+
+    def test_empty_forest_has_no_cell(self):
+        # the one DCF object of [0] has no position, so no (k, ell, m)
+        # cell; the query with ell None still lists it
+        assert enumerate_dcf(0, 0) == [Distinguished((), (), frozenset())]
+        assert forests.dcf_signed_census(0, 0) == {}
+
+    def test_leader_one_query_without_position_is_empty(self):
+        # a leader-1 object is placed by its leader position, so a query
+        # without ell lists none, as its census counts none
+        assert enumerate_cf1(1, 2, 2, None, None) == [] == \
+            enumerate_dcf1(1, 2, 2, None, None)
+        assert cf1_count(1, 2, 2, None, None) == 0 == dcf1_signed_sum(1, 2, 2, None, None, 0)
+
+    def test_sparse_queries_at_eight(self):
+        listed = enumerate_cf(1, 8, 7)
+        assert len(listed) == 28 == forests.cf_census(8)[0][1, 7]
+        listed = enumerate_cf1(3, 8, 6, 4, 3)
+        assert len(listed) == 130 == forests.cf1_census(8)[3, 6, 4, 3]
+        for enum, census, shift, query, size in (
+                (enumerate_dcf, forests.dcf_signed_census, 0, (2, 8, 7, 6, 1), 56),
+                (enumerate_dcf1, forests.dcf1_signed_census, 1, (3, 8, 6, 4, 3), 1390)):
+            listed = enum(*query)
+            assert len(listed) == size
+            q, s, k, ell, m = query
+            signed = {}
+            for d in listed:
+                i = len(d.aset)
+                signed[i] = signed.get(i, 0) + (-1) ** (
+                    forests.distinguished_block_count(d) - shift)
+            assert signed == {i: census(q, s)[i, k, ell, m] for i in range(q + 1)
+                              if (i, k, ell, m) in census(q, s)}
 
 
 class TestCensusAgainstPerObjectTally:
@@ -383,10 +496,6 @@ class TestCensusAgainstPerObjectTally:
                                          (0, (two, one), -1, 1, None, 0, 0)]))
         assert forests._census(family, 0, 2) == _per_object_census(family, 0, 2) == \
             {(0, 2, 0, 2): 0, (0, 2, 1, 1): 0}
-
-
-FAMILIES = {"cf": forests._CF, "cf1": forests._CF1,
-            "dcf": forests._DCF, "dcf1": forests._DCF1}
 
 
 class TestSkeletons:
