@@ -69,9 +69,18 @@ COMPUTE_FAMILIES = tuple(FAMILIES)
 
 def _family_call(family: str, args) -> tuple[tuple, dict]:
     """Validated call arguments for the family's functions, and the
-    parameters that key its cache entry."""
+    parameters that key its cache entry.  A missing flag the family needs
+    and a given flag it does not take are both errors."""
     spec = FAMILIES[family]
     _need(args, *spec.flags)
+    # compute names the cuts by their sizes, oracle count by their members
+    cut_flags = ("hyperplane_sizes", "hyperplane")
+    taken = spec.flags + (cut_flags if spec.sized else ())
+    extra = [name for name in ("r", "s", "n") + cut_flags
+             if name not in taken and getattr(args, name, None) is not None]
+    if extra:
+        raise ValueError(f"the {family} family takes no "
+                         + ", ".join("--" + n.replace("_", "-") for n in extra))
     call = tuple(getattr(args, name) for name in spec.flags)
     params = dict(zip(spec.flags, call))
     if spec.sized:

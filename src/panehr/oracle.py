@@ -6,7 +6,11 @@ convolve rows of bounded coordinate sums.  The sliced count is a dynamic
 program over Venn atoms, the groups of coordinates lying in the same
 cuts: it drops a cut's sum once the cut's last atom is counted and counts
 the atom outside every cut last, and it holds for any family of cuts, not
-only for the hyperplanes of a paving matroid.  No count shares code with
+only for the hyperplanes of a paving matroid.  Each of its states packs
+its counts by running total into one int, as base-2^w digits with
+w = n*bitlen(t+1) + 1: a digit counts vectors in [0, t]^k for some k <= n,
+so it stays below (t+1)^n < 2^w and never carries, and one big-int
+product does a whole transition exactly.  No count shares code with
 the closed-form engine, so agreement between the two is a real
 certificate.  Counts become polynomials through
 exactmath.interpolate (re-exported here), the routine the closed forms
@@ -15,6 +19,7 @@ use too, so the evidence of an agreement is the counts themselves.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 from .exactmath import interpolate  # re-exported as oracle.interpolate
@@ -78,9 +83,18 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
     row _bounded_sum_counts(k, t).  The atoms in at least one cut are
     walked one by one.  A state is the running sum of every open cut (one
     with some but not all of its atoms counted) and holds its counts by
-    running total.  Once a cut's last atom is counted its sum leaves the
-    state, so states that differ only there merge.  The coordinates in no
-    cut are counted last, by one lookup in their row.
+    running total 0..r*t, packed into one int whose base-2^w digits they
+    are, with w = n*bitlen(t+1) + 1.  Every digit counts vectors in
+    [0, t]^k for some k <= n, so it stays below (t+1)^n < 2^w and never
+    carries into the next: adding y to the running total is a shift by
+    w*y bits, an atom's transition is one product row[y] * packed per
+    (state, y), and digits above r*t are masked off once per atom.  An
+    atom that only closes cuts sends every y to the same state, so there
+    the transition is one product with the atom's row packed up to the
+    room the state leaves.  Once a cut's last atom is counted its sum
+    leaves the state, so states that differ only there merge.  The
+    coordinates in no cut are counted last: the digits of the one final
+    state are unpacked for one lookup in their row.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -92,6 +106,8 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
             raise ValueError(f"hyperplane {sorted(h)} is not a proper subset of [1..{n}]")
     total = r * t
     cap = (r - 1) * t
+    w = n * (t + 1).bit_length() + 1  # digit width: no digit reaches 2^w
+    keep = (1 << w * (total + 1)) - 1  # digits 0..r*t
     atoms: dict[frozenset[int], int] = {}
     for coord in range(1, n + 1):
         sig = frozenset(c for c, h in enumerate(cuts) if coord in h)
@@ -101,8 +117,8 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
     order = sorted(atoms, key=sorted)
     last = {c: k for k, sig in enumerate(order) for c in sig}
     # key = sums of the cuts in `open_cuts`, in that order; value = counts
-    # indexed by the running total 0..r*t
-    states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * total}
+    # by running total 0..r*t, packed
+    states: dict[tuple[int, ...], int] = {(): 1}
     open_cuts: list[int] = []
     for k, sig in enumerate(order):
         row = _bounded_sum_counts(atoms[sig], t)
@@ -115,19 +131,31 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
         top = min(len(row) - 1, total)
         if not sig <= set(open_cuts):
             top = min(top, cap)  # a cut entered here starts from sum 0
-        nxt: dict[tuple[int, ...], list[int]] = {}
-        for key, by_total in states.items():
-            room = min([top] + [cap - key[idx] for idx in bounded])
-            for y in range(room + 1):
-                nk = (*(key[idx] + y * g for idx, g in grows), *(y,) * len(opened))
-                acc = nxt.get(nk)
-                if acc is None:
-                    acc = nxt[nk] = [0] * (total + 1)
-                weight = row[y]
-                acc[y:] = [a + weight * c for a, c in zip(acc[y:], by_total)]
-        states = nxt
+        nxt: dict[tuple[int, ...], int] = {}
+        if opened or any(g for _, g in grows):
+            for key, packed in states.items():
+                room = min([top] + [cap - key[idx] for idx in bounded])
+                # column j lists cut j's sum in the next state, for y = 0..room
+                cols = [range(key[idx], key[idx] + room + 1) if g
+                        else repeat(key[idx], room + 1) for idx, g in grows]
+                cols += [range(room + 1)] * len(opened)
+                for weight, nk in zip(row, zip(*cols)):
+                    nxt[nk] = nxt.get(nk, 0) + weight * packed
+                    packed <<= w
+        else:
+            # the atom only closes cuts, so every y lands in one state: one
+            # product with the row packed up to room
+            prefix = [row[0]]
+            for y in range(1, top + 1):
+                prefix.append(prefix[-1] | row[y] << w * y)
+            for key, packed in states.items():
+                room = min([top] + [cap - key[idx] for idx in bounded])
+                nk = tuple(key[idx] for idx in kept)
+                nxt[nk] = nxt.get(nk, 0) + prefix[room] * packed
+        states = {key: packed & keep for key, packed in nxt.items()}
         open_cuts = [open_cuts[idx] for idx in kept] + opened
-    (by_total,) = states.values()
+    (packed,) = states.values()
     row_out = _bounded_sum_counts(outside, t)
-    return sum(by_total[tot] * row_out[total - tot] for tot in range(total + 1)
-               if total - tot < len(row_out))
+    digit = (1 << w) - 1
+    return sum(((packed >> w * tot) & digit) * row_out[total - tot]
+               for tot in range(max(0, total + 1 - len(row_out)), total + 1))

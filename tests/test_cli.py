@@ -55,6 +55,23 @@ class TestCompute:
         assert code == 2
         assert "--s" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("hypersimplex", "--r", "2", "--n", "4", "--s", "9"),
+         "the hypersimplex family takes no --s"),
+        (("panhandle", "--r", "1", "--s", "1", "--n", "2", "--hyperplane-sizes", "5"),
+         "the panhandle family takes no --hyperplane-sizes"),
+        (("phi", "--r", "1", "--s", "1", "--n", "2", "--hyperplane-sizes", "5"),
+         "the phi family takes no --hyperplane-sizes"),
+        (("paving", "--r", "2", "--s", "3", "--n", "4", "--hyperplane-sizes", "2"),
+         "the paving family takes no --s"),
+    ], ids=["hypersimplex-s", "panhandle-sizes", "phi-sizes", "paving-s"])
+    def test_flag_the_family_does_not_take_exits_two(self, capsys, tmp_path, argv,
+                                                      message):
+        code, out, err = run(capsys, "compute", *argv, "--cache-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"panehr: error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_deterministic_output(self, capsys, tmp_path):
         args = ("compute", "phi", "--r", "2", "--s", "3", "--n", "5",
                 "--no-cache", "--no-color")
@@ -427,6 +444,19 @@ class TestOracleCommand:
         code, out, err = run(capsys, "oracle", "count", *argv, "--t", "-1")
         assert code == 2 and out == ""
         assert err == "panehr: error: dilation factor must be nonnegative\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("panhandle", "--r", "1", "--s", "1", "--n", "2", "--hyperplane", "1"),
+         "the panhandle family takes no --hyperplane"),
+        (("hypersimplex", "--r", "1", "--n", "3", "--s", "9"),
+         "the hypersimplex family takes no --s"),
+        (("paving", "--r", "2", "--s", "1", "--n", "4", "--hyperplane", "1,2"),
+         "the paving family takes no --s"),
+    ], ids=["panhandle-hyperplane", "hypersimplex-s", "paving-s"])
+    def test_flag_the_family_does_not_take_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, "oracle", "count", *argv, "--t", "2")
+        assert code == 2 and out == ""
+        assert err == f"panehr: error: {message}\n"
 
     def test_missing_dilation(self, capsys):
         code, _, err = run(capsys, "oracle", "count", "panhandle", "--r", "1",

@@ -113,6 +113,43 @@ class TestPavingCounts:
             assert count_points_paving(2, 5, cuts, t) == \
                 count_points_paving_slow(2, 5, cuts, t)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_matches_raw_enumeration_on_the_smallest_grounds(self, n):
+        # [0] has no proper subset and [1] only the empty one
+        for cuts in ([], [frozenset()])[:n + 1]:
+            for r in range(1, n + 3):
+                for t in range(4):
+                    assert count_points_paving(r, n, cuts, t) == \
+                        count_points_paving_slow(r, n, cuts, t), (r, n, cuts, t)
+
+    def test_matches_raw_enumeration_at_zero_and_above_full_rank(self):
+        # t = 0 leaves the origin alone; r > n leaves no point for t > 0
+        rng = random.Random("zero-and-full-rank")
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            cuts = _any_family(rng, n)
+            for r, t in [(rng.randint(1, n + 2), 0), (n + 1, 1), (n + 2, 2)]:
+                assert count_points_paving(r, n, cuts, t) == \
+                    count_points_paving_slow(r, n, cuts, t), (r, n, cuts, t)
+
+    def test_non_binding_cut_at_large_dilation(self):
+        # eight of ten coordinates sum to at most 8t anyway, so the cut
+        # binds nothing; counts reach about 10^11 at t = 12
+        cut = [frozenset(range(1, 9))]
+        poly = ehr_hypersimplex(9, 10)
+        for t in range(13):
+            assert count_points_paving(9, 10, cut, t) == poly.evaluate(t), t
+
+    def test_fano_plane(self):
+        # the seven lines of the Fano plane: a valid family of rank 3 on
+        # [7] whose lines pairwise meet in one point
+        lines = [frozenset(h) for h in ({1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6},
+                                        {2, 5, 7}, {3, 4, 7}, {3, 5, 6})]
+        assert all(len(a & b) == 1 for a, b in combinations(lines, 2))
+        poly = ehr_paving(3, 7, [3] * 7)
+        for t in range(4):
+            assert count_points_paving(3, 7, lines, t) == poly.evaluate(t), t
+
     def test_rejects_improper_hyperplane(self):
         with pytest.raises(ValueError):
             count_points_paving(2, 4, [frozenset({1, 2, 3, 4})], 1)
