@@ -10,7 +10,12 @@ only for the hyperplanes of a paving matroid.  Each of its states packs
 its counts by running total into one int, as base-2^w digits with
 w = n*bitlen(t+1) + 1: a digit counts vectors in [0, t]^k for some k <= n,
 so it stays below (t+1)^n < 2^w and never carries, and one big-int
-product does a whole transition exactly.  No count shares code with
+product does a whole transition exactly.  It walks an atom that lies in
+one cut only after the cut's other atoms, so that atom closes the cut
+with one product per state, and it reads its answer off one more
+product with the row of the coordinates in no cut.  The rows of bounded
+coordinate sums are memoized: one tuple per (k, t) the process has
+counted, of at most k*t + 1 ints.  No count shares code with
 the closed-form engine, so agreement between the two is a real
 certificate.  Counts become polynomials through
 exactmath.interpolate (re-exported here), the routine the closed forms
@@ -19,14 +24,19 @@ use too, so the evidence of an agreement is the counts themselves.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
 
 from .exactmath import interpolate  # re-exported as oracle.interpolate
 
 
-def _bounded_sum_counts(coords: int, cap: int) -> list[int]:
-    """counts[j] = number of vectors in [0, cap]^coords with coordinate sum j."""
+@lru_cache(maxsize=None)
+def _bounded_sum_counts(coords: int, cap: int) -> tuple[int, ...]:
+    """counts[j] = number of vectors in [0, cap]^coords with coordinate sum j.
+
+    Memoized: one shared tuple per (coords, cap), so no caller can change it.
+    """
     counts = [1]
     for _ in range(coords):
         out = [0] * (len(counts) + cap)
@@ -39,7 +49,16 @@ def _bounded_sum_counts(coords: int, cap: int) -> list[int]:
                 acc -= counts[j - cap - 1]
             out[j] = acc
         counts = out
-    return counts
+    return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def _packed_row(coords: int, cap: int, width: int) -> int:
+    """_bounded_sum_counts(coords, cap) as the base-2^width digits of one int."""
+    packed = 0
+    for count in reversed(_bounded_sum_counts(coords, cap)):
+        packed = packed << width | count
+    return packed
 
 
 def count_points_panhandle(r: int, s: int, n: int, t: int) -> int:
@@ -80,8 +99,10 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
     Counted by dynamic programming over Venn atoms.  The coordinates are
     grouped by the set of cuts they lie in; inside such an atom only the
     coordinate sum matters, and an atom of k coordinates contributes the
-    row _bounded_sum_counts(k, t).  The atoms in at least one cut are
-    walked one by one.  A state is the running sum of every open cut (one
+    row _bounded_sum_counts(k, t), memoized as one tuple per (k, t).  The
+    atoms in at least one cut are walked one by one, sorted by their cuts,
+    with an atom that lies in one cut only put after every other atom of
+    that cut (any order gives the same count).  A state is the running sum of every open cut (one
     with some but not all of its atoms counted) and holds its counts by
     running total 0..r*t, packed into one int whose base-2^w digits they
     are, with w = n*bitlen(t+1) + 1.  Every digit counts vectors in
@@ -91,10 +112,13 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
     (state, y), and digits above r*t are masked off once per atom.  An
     atom that only closes cuts sends every y to the same state, so there
     the transition is one product with the atom's row packed up to the
-    room the state leaves.  Once a cut's last atom is counted its sum
+    room the state leaves; an atom in one cut only is such an atom, as it
+    comes last in its cut.  Once a cut's last atom is counted its sum
     leaves the state, so states that differ only there merge.  The
-    coordinates in no cut are counted last: the digits of the one final
-    state are unpacked for one lookup in their row.
+    coordinates in no cut are counted last, by one product of the final
+    state with their row packed the same way: digit r*t of the product
+    is the count.  Each digit of that product counts vectors in [0, t]^n,
+    so it too stays below 2^w and no digit carries into the next.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -113,8 +137,9 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
         sig = frozenset(c for c, h in enumerate(cuts) if coord in h)
         atoms[sig] = atoms.get(sig, 0) + 1
     outside = atoms.pop(frozenset(), 0)
-    # any walk order gives the same count; this one is deterministic
-    order = sorted(atoms, key=sorted)
+    # any walk order gives the same count; an atom in one cut only goes
+    # last in that cut, where it closes the cut by one product per state
+    order = sorted(atoms, key=lambda sig: sorted(sig) + [len(cuts)] * (len(sig) == 1))
     last = {c: k for k, sig in enumerate(order) for c in sig}
     # key = sums of the cuts in `open_cuts`, in that order; value = counts
     # by running total 0..r*t, packed
@@ -154,8 +179,6 @@ def count_points_paving(r: int, n: int, hyperplanes: Sequence[frozenset[int]],
                 nxt[nk] = nxt.get(nk, 0) + prefix[room] * packed
         states = {key: packed & keep for key, packed in nxt.items()}
         open_cuts = [open_cuts[idx] for idx in kept] + opened
+    # the coordinates in no cut: digit r*t of one product with their row
     (packed,) = states.values()
-    row_out = _bounded_sum_counts(outside, t)
-    digit = (1 << w) - 1
-    return sum(((packed >> w * tot) & digit) * row_out[total - tot]
-               for tot in range(max(0, total + 1 - len(row_out)), total + 1))
+    return (packed * _packed_row(outside, t, w) >> w * total) & ((1 << w) - 1)

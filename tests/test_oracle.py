@@ -4,11 +4,19 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panehr import campaigns
 from panehr.exactmath import Polynomial
-from panehr.ehrhart import ehr_hypersimplex, ehr_panhandle, ehr_paving
+from panehr.ehrhart import (
+    ehr_hypersimplex,
+    ehr_panhandle,
+    ehr_paving,
+    relaxation_correction,
+)
 from panehr.oracle import (
+    _bounded_sum_counts,
     count_points_panhandle,
     count_points_paving,
     interpolate,
@@ -150,6 +158,20 @@ class TestPavingCounts:
         for t in range(4):
             assert count_points_paving(3, 7, lines, t) == poly.evaluate(t), t
 
+    def test_single_cut_excess_is_the_relaxation_correction(self):
+        # the points one cut [1..s] removes from the hypersimplex are the
+        # Ehrhart difference of relaxing that stressed hyperplane: a lattice
+        # certificate of relaxation_correction, 990 checks at n <= 9
+        for n in range(2, 10):
+            for s in range(1, n):
+                cut = [frozenset(range(1, s + 1))]
+                for r in range(1, s + 1):
+                    poly = relaxation_correction(r, s, n)
+                    for t in range(n + 1):
+                        excess = (count_points_paving(r, n, [], t)
+                                  - count_points_paving(r, n, cut, t))
+                        assert excess == poly.evaluate(t), (r, s, n, t)
+
     def test_rejects_improper_hyperplane(self):
         with pytest.raises(ValueError):
             count_points_paving(2, 4, [frozenset({1, 2, 3, 4})], 1)
@@ -268,6 +290,23 @@ class TestPavingCountsAnyFamily:
                 assert count_points_paving(r, n, cuts, t) == \
                     count_points_paving_slow(r, n, cuts, t), (r, n, cuts, t)
 
+    @pytest.mark.parametrize("r, n, cuts", [
+        # every atom in one cut only closes its cut
+        (3, 6, [{1, 5, 6}, {2, 3, 5}, {3, 4, 6}]),
+        # the shared atom comes first and opens the outer cut
+        (4, 6, [{1, 2, 3, 5, 6}, {1, 2, 3, 5}]),
+    ], ids=["triangle", "nested-pair"])
+    def test_matches_raw_enumeration_in_walk_order(self, r, n, cuts):
+        cuts = [frozenset(h) for h in cuts]
+        for t in range(5):
+            assert count_points_paving(r, n, cuts, t) == \
+                count_points_paving_slow(r, n, cuts, t), t
+
+    def test_bounded_sum_rows_are_shared_tuples(self):
+        row = _bounded_sum_counts(3, 2)
+        assert row == (1, 3, 6, 7, 6, 3, 1)
+        assert _bounded_sum_counts(3, 2) is row
+
     @pytest.mark.parametrize("change", ["reorder", "relabel"])
     def test_invariant_under_reordering_and_relabelling(self, change):
         # the same count after shuffling the hyperplane list, or after
@@ -287,6 +326,24 @@ class TestPavingCountsAnyFamily:
                     other = [frozenset(image[x] for x in h) for h in cuts]
                 assert count_points_paving(r, n, other, t) == expected, \
                     (r, n, cuts, other, t)
+
+
+@st.composite
+def any_family_counts(draw):
+    """(r, n, cuts, t): up to four arbitrary proper subsets of [n], n <= 6."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    r = draw(st.integers(min_value=1, max_value=n + 1))
+    subset = st.frozensets(st.integers(min_value=1, max_value=max(n, 1)),
+                           max_size=max(n - 1, 0))
+    cuts = draw(st.lists(subset, max_size=4)) if n else []
+    return r, n, cuts, draw(st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_family_counts())
+def test_any_family_matches_raw_enumeration(case):
+    r, n, cuts, t = case
+    assert count_points_paving(r, n, cuts, t) == count_points_paving_slow(r, n, cuts, t)
 
 
 class TestInterpolate:
