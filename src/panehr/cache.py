@@ -1,11 +1,11 @@
 """Persistent result cache for computed polynomials.
 
-One JSON file per entry under the cache directory.  The entry key bakes
-in the family tag, the parameters, and the tool version, so version bumps
-invalidate old entries without touching them.  Writes go through a
-temporary file and an atomic rename, and a failed write removes its
-temporary file; unreadable or unwritable caches degrade to plain
-recomputation with a warning on stderr.
+One JSON object per entry file: its key, which bakes in the family tag,
+the parameters and the tool version (so version bumps invalidate old
+entries without touching them), and its coefficients; a read uses no other
+field.  Writes go through a temporary file and an atomic rename, and a
+failed write removes its temporary file; unreadable or unwritable caches
+degrade to plain recomputation with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -77,14 +76,6 @@ def store(cache_dir: Path, family: str, params: dict, coeffs: list[str]) -> None
     """Write an entry atomically; on failure, warn naming the error, remove
     the temporary file and continue without the cache."""
     key = cache_key(family, params)
-    payload = {
-        "key": key,
-        "family": family,
-        "params": params,
-        "coefficients": coeffs,
-        "version": __version__,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
     path = _entry_path(cache_dir, key)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -94,7 +85,7 @@ def store(cache_dir: Path, family: str, params: dict, coeffs: list[str]) -> None
         return
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1)
+            json.dump({"key": key, "coefficients": coeffs}, handle)
         os.replace(tmp, path)
     except BaseException as exc:
         # the temporary file never outlives a failed write

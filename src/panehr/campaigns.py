@@ -124,7 +124,7 @@ def run_identity_upper(s: int, max_q: int) -> list[Row]:
     for q in range(max_q + 1):
         for k, ell, m in _classes(s):
             counted = census.get((q + 1, k + 1, ell, m + 1), 0)
-            formula = ehrhart.upper_expression(q, s, k, ell, m)
+            formula = forests.upper_expression(q, s, k, ell, m)
             params = {"s": s, "q": q, "k": k, "ell": ell, "m": m}
             rows.append(_row(params, counted, formula))
             rows.append(_bool_row({**params, "check": "nonnegative"},
@@ -440,16 +440,17 @@ def _run_unit(task: tuple[str, dict]) -> list[Row]:
 
 def campaign_bounds(name: str, bounds: dict | None = None, jobs: int = 1) -> dict:
     """The campaign's default bounds overridden by the given ones, for a run
-    on jobs workers; None values and keys the campaign does not take are
-    ignored.  Raises ValueError for a negative bound or jobs < 1."""
+    on jobs workers.  Raises ValueError for a bound the campaign does not
+    take, a negative bound, or jobs < 1."""
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got jobs={jobs}")
     merged = dict(CAMPAIGNS[name].defaults)
     for key, value in (bounds or {}).items():
-        if value is not None and key in merged:
-            if value < 0:
-                raise ValueError(f"bound {key}={value} must be nonnegative")
-            merged[key] = value
+        if key not in merged:
+            raise ValueError(f"the {name} campaign takes no --{key.replace('_', '-')}")
+        if value < 0:
+            raise ValueError(f"bound {key}={value} must be nonnegative")
+        merged[key] = value
     return merged
 
 

@@ -3,7 +3,9 @@
 Subcommands: compute (closed-form polynomials), verify (identity and
 oracle campaigns), enumerate (combinatorial objects), oracle count
 (direct lattice-point counts), and cache management.  All stdout output
-is deterministic given --no-color; timing goes to stderr.
+is deterministic given --no-color; timing goes to stderr.  Only compute
+and cache take --cache-dir, only compute takes --no-cache, and verify
+rejects a --max-* bound its campaign does not take.
 
 `main` builds its argparse parser once per process, on its first call,
 and reuses it, so it can be called many times in one process (each call
@@ -35,15 +37,6 @@ def _color(text: str, code: str, enabled: bool) -> str:
     if enabled and sys.stdout.isatty():
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        help="cache directory (default: PANEHR_CACHE_DIR or ~/.cache/panehr)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the result cache entirely")
-    parser.add_argument("--no-color", action="store_true",
-                        help="never emit ANSI color codes")
 
 
 class Family(NamedTuple):
@@ -120,19 +113,19 @@ def cmd_compute(args) -> int:
     return 0
 
 
+VERIFY_BOUNDS = ("max_s", "max_q", "max_n", "max_paving_n")
+
+
 def cmd_verify(args) -> int:
-    spec = campaigns.CAMPAIGNS[args.campaign]
-    defaults = dict(spec.defaults)
-    bounds = {}
-    for key in defaults:
-        flag = key.replace("_", "-")
-        value = getattr(args, key, None)
-        if value is not None:
-            if value > defaults[key] and not args.i_know_this_is_slow:
-                _err(f"--{flag} {value} exceeds the default desk-scale bound "
-                     f"{defaults[key]}; pass --i-know-this-is-slow to override")
-                return 2
-            bounds[key] = value
+    defaults = dict(campaigns.CAMPAIGNS[args.campaign].defaults)
+    bounds = {key: getattr(args, key) for key in VERIFY_BOUNDS
+              if getattr(args, key) is not None}
+    for key, value in bounds.items():
+        # campaign_bounds rejects a bound the campaign does not take
+        if key in defaults and value > defaults[key] and not args.i_know_this_is_slow:
+            _err(f"--{key.replace('_', '-')} {value} exceeds the default desk-scale "
+                 f"bound {defaults[key]}; pass --i-know-this-is-slow to override")
+            return 2
     try:
         campaigns.campaign_bounds(args.campaign, bounds, args.jobs)
         csv_file = _open_csv_temp(args.csv) if args.csv else None
@@ -279,20 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
                            help="stressed hyperplane sizes for the paving family")
     p_compute.add_argument("--json", action="store_true",
                            help="print the coefficient array instead of pretty text")
-    _add_common(p_compute)
     p_compute.set_defaults(func=cmd_compute)
 
-    p_verify = sub.add_parser("verify", help="run a verification campaign")
+    width = max(map(len, campaigns.CAMPAIGNS))
+    p_verify = sub.add_parser(
+        "verify", help="run a verification campaign",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="campaigns:\n" + "\n".join(f"  {c.name:<{width}}  {c.description}"
+                                          for c in campaigns.CAMPAIGNS.values()))
     p_verify.add_argument("campaign", choices=sorted(campaigns.CAMPAIGNS))
-    p_verify.add_argument("--max-s", dest="max_s", type=int)
-    p_verify.add_argument("--max-q", dest="max_q", type=int)
-    p_verify.add_argument("--max-n", dest="max_n", type=int)
-    p_verify.add_argument("--max-paving-n", dest="max_paving_n", type=int)
+    for key in VERIFY_BOUNDS:
+        p_verify.add_argument("--" + key.replace("_", "-"), dest=key, type=int)
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--csv", type=Path, help="write per-tuple rows to this file")
     p_verify.add_argument("--i-know-this-is-slow", action="store_true",
                           help="allow bounds beyond the desk-scale defaults")
-    _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="list combinatorial objects")
@@ -302,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--k", type=int)
     p_enum.add_argument("--ell", type=int)
     p_enum.add_argument("--m", type=int)
-    _add_common(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_oracle = sub.add_parser("oracle", help="direct lattice-point counts")
@@ -315,13 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--t", type=int)
     p_count.add_argument("--hyperplane", action="append",
                          help="explicit hyperplane as comma-separated elements; repeatable")
-    _add_common(p_count)
     p_count.set_defaults(func=cmd_oracle)
 
     p_cache = sub.add_parser("cache", help="manage the result cache")
     p_cache.add_argument("action", choices=("clear", "stats"))
-    _add_common(p_cache)
     p_cache.set_defaults(func=cmd_cache)
+
+    for command in (p_compute, p_cache):
+        command.add_argument("--cache-dir", type=Path, default=None,
+                             help="cache directory (default: PANEHR_CACHE_DIR or ~/.cache/panehr)")
+    p_compute.add_argument("--no-cache", action="store_true",
+                           help="bypass the result cache entirely")
+    for command in (p_compute, p_verify, p_enum, p_count, p_cache):
+        command.add_argument("--no-color", action="store_true",
+                             help="never emit ANSI color codes")
 
     return parser
 

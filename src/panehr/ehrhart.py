@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .exactmath import ZERO, Polynomial, binomial, interpolate, poly_leq
-from .forests import _check_query, _summand
+from .forests import upper_expression  # re-exported; defined in forests
 
 
 def validate_panhandle(r: int, s: int, n: int) -> None:
@@ -235,13 +235,6 @@ def _paving(r: int, n: int, sizes: tuple[int, ...]) -> Polynomial:
     if poly.coefficient(0) != 1:
         raise AssertionError("constant term must be 1")
     return poly
-
-
-def upper_expression(q: int, s: int, k: int, ell: int, m: int) -> int:
-    """The alternating sum whose nonnegativity gives the coefficientwise
-    upper bound; equals the count of the shifted leader-1 forests."""
-    _check_query(q, s, k, ell, m)
-    return sum(_summand(q, s, k, ell, m, i, 1) for i in range(q + 1))
 
 
 def check_relaxation_positivity(r: int, s: int, n: int) -> bool:

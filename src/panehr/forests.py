@@ -209,6 +209,13 @@ def cf_refined_formula(q: int, s: int, k: int, ell: int, m: int) -> int:
     return sum(_summand(q, s, k, ell, m, i, 0) for i in range(q + 1))
 
 
+def upper_expression(q: int, s: int, k: int, ell: int, m: int) -> int:
+    """The alternating sum whose nonnegativity gives the coefficientwise
+    upper bound; equals the count of the shifted leader-1 forests."""
+    _check_query(q, s, k, ell, m)
+    return sum(_summand(q, s, k, ell, m, i, 1) for i in range(q + 1))
+
+
 def dcf_term_formula(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
     """The i-th summand of the refined closed form, signs included."""
     _check_query(q, s, k, ell, m, i=i)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from panehr import cache
-from panehr.cli import build_parser, main
+from panehr import cache, campaigns
+from panehr.cli import VERIFY_BOUNDS, build_parser, main
 from panehr.ehrhart import ehr_paving
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -212,6 +212,29 @@ class TestCache:
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
         assert out.startswith("entries: 0")
 
+    def test_entry_holds_only_key_and_coefficients(self, capsys, tmp_path):
+        code, out, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
+        entry = json.loads(next(tmp_path.glob("*.json")).read_text())
+        assert code == 0 and entry == {"key": cache.cache_key("panhandle", self.PARAMS),
+                         "coefficients": json.loads(out)}
+
+    def test_entry_with_the_older_six_fields_still_hits(self, capsys, tmp_path):
+        from panehr import __version__
+
+        code, cold, err = run(capsys, *self.ARGS, "--no-cache")
+        assert code == 0 and "cache hit" not in err
+        key = cache.cache_key("panhandle", self.PARAMS)
+        entry = cache._entry_path(tmp_path, key)
+        entry.write_text(json.dumps({
+            "key": key, "family": "panhandle", "params": self.PARAMS,
+            "coefficients": json.loads(cold), "version": __version__,
+            "created": "2026-01-01T00:00:00Z"}, indent=1))
+        written = entry.read_bytes()
+        code, warm, err = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
+        assert code == 0 and "cache hit" in err
+        assert warm == cold
+        assert entry.read_bytes() == written
+
 
 class TestEnumerate:
     def test_forests_count(self, capsys):
@@ -396,6 +419,57 @@ class TestVerify:
         assert "result: FAIL" in out
         assert "first failure: FAIL s=3 q=1 expected=7 actual=8" in out
 
+    UNTAKEN = [(name, key) for name, spec in sorted(campaigns.CAMPAIGNS.items())
+               for key in VERIFY_BOUNDS if key not in dict(spec.defaults)]
+
+    def test_twenty_untaken_bounds(self):
+        assert len(self.UNTAKEN) == 20
+
+    @pytest.mark.parametrize("campaign, key", UNTAKEN,
+                             ids=[f"{c}-{k}" for c, k in UNTAKEN])
+    def test_bound_the_campaign_does_not_take_exits_two(self, capsys, tmp_path,
+                                                        monkeypatch, campaign, key):
+        def not_expected(*args, **kwargs):
+            raise RuntimeError("the campaign ran")
+
+        monkeypatch.setattr(campaigns, "run_campaign_report", not_expected)
+        csv_path = tmp_path / "keep.csv"
+        csv_path.write_bytes(b"kept\r\n")
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run(capsys, "verify", campaign, flag, "1",
+                             "--csv", str(csv_path))
+        assert code == 2 and out == ""
+        assert err == f"panehr: error: the {campaign} campaign takes no {flag}\n"
+        assert csv_path.read_bytes() == b"kept\r\n"
+        assert list(tmp_path.iterdir()) == [csv_path]
+
+    @pytest.mark.parametrize("campaign, flags", [
+        ("identity-main", ("--max-s", "2")),
+        ("identity-lah", ("--max-q", "1")),
+        ("identity-upper", ("--max-s", "2", "--max-q", "1")),
+        ("per-term", ("--max-s", "2")),
+        ("phi", ("--max-q", "1", "--max-s", "3")),
+        ("involution", ("--max-s", "2")),
+        ("ehrhart-oracle", ("--max-n", "4")),
+        ("bounds", ("--max-paving-n", "5")),
+        ("positivity", ("--max-n", "5")),
+    ])
+    def test_bound_the_campaign_takes_passes(self, capsys, campaign, flags):
+        code, out, _ = run(capsys, "verify", campaign, *flags, "--no-color")
+        assert code == 0 and out.endswith("result: PASS\n")
+
+    def test_library_bounds_are_owned_by_the_campaign(self):
+        assert campaigns.campaign_bounds("positivity", {"max_n": 4}) == {"max_n": 4}
+        with pytest.raises(ValueError, match="the positivity campaign takes no --max-s"):
+            campaigns.campaign_bounds("positivity", {"max_s": 3})
+
+    def test_help_describes_every_campaign(self, capsys):
+        code, out, _ = _invoke(capsys, main, ["verify", "--help"])
+        assert code == 0
+        for name, spec in campaigns.CAMPAIGNS.items():
+            assert any(line.split() == [name, *spec.description.split()]
+                       for line in out.splitlines()), name
+
 
 class TestOracleCommand:
     def test_panhandle_count(self, capsys):
@@ -570,3 +644,23 @@ def test_module_entry_point_prints_what_main_prints(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert _python("-m", "panehr.cli", *argv).stdout == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "identity-lah", "--max-s", "2", "--max-q", "1"],
+    ["enumerate", "forests", "--q", "0", "--s", "3", "--k", "2"],
+    ["oracle", "count", "panhandle", "--r", "1", "--s", "1", "--n", "2", "--t", "2"],
+], ids=["verify", "enumerate", "oracle-count"])
+@pytest.mark.parametrize("flag", [["--cache-dir", "."], ["--no-cache"]],
+                         ids=["cache-dir", "no-cache"])
+def test_cache_flags_rejected_where_the_cache_is_not_read(capsys, argv, flag):
+    code, out, err = _invoke(capsys, main, argv + flag)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag[0]}" in err
+
+
+def test_cache_command_takes_no_no_cache(capsys, tmp_path):
+    code, out, err = _invoke(capsys, main, ["cache", "stats", "--cache-dir",
+                                            str(tmp_path), "--no-cache"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --no-cache" in err

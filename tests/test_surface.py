@@ -54,3 +54,40 @@ def test_campaign_names():
     assert tuple(sorted(campaigns.CAMPAIGNS)) == names
     verify = _subparser(build_parser(), "verify")
     assert _positional_choices(verify, "campaign") == names
+
+
+def _options(parser):
+    return tuple(opt for action in parser._actions for opt in action.option_strings)
+
+
+def test_cli_options():
+    # a flag no command reads must not come back unnoticed
+    parser = build_parser()
+    common = ("-h", "--help")
+    assert _options(_subparser(parser, "compute")) == common + (
+        "--r", "--s", "--n", "--hyperplane-sizes", "--json",
+        "--cache-dir", "--no-cache", "--no-color")
+    assert _options(_subparser(parser, "verify")) == common + (
+        "--max-s", "--max-q", "--max-n", "--max-paving-n", "--jobs", "--csv",
+        "--i-know-this-is-slow", "--no-color")
+    assert _options(_subparser(parser, "enumerate")) == common + (
+        "--q", "--s", "--k", "--ell", "--m", "--no-color")
+    assert _options(_subparser(_subparser(parser, "oracle"), "count")) == common + (
+        "--r", "--s", "--n", "--t", "--hyperplane", "--no-color")
+    assert _options(_subparser(parser, "cache")) == common + ("--cache-dir", "--no-color")
+
+
+def test_campaign_bounds():
+    taken = {name: tuple(dict(spec.defaults))
+             for name, spec in sorted(campaigns.CAMPAIGNS.items())}
+    assert taken == {
+        "bounds": ("max_n", "max_paving_n"),
+        "ehrhart-oracle": ("max_n",),
+        "identity-lah": ("max_s", "max_q"),
+        "identity-main": ("max_s", "max_q"),
+        "identity-upper": ("max_s", "max_q"),
+        "involution": ("max_s", "max_q"),
+        "per-term": ("max_s", "max_q"),
+        "phi": ("max_s", "max_q"),
+        "positivity": ("max_n",),
+    }
