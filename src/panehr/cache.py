@@ -3,9 +3,12 @@
 One JSON object per entry file: its key, which bakes in the family tag,
 the parameters and the tool version (so version bumps invalidate old
 entries without touching them), and its coefficients; a read uses no other
-field.  Writes go through a temporary file and an atomic rename, and a
-failed write removes its temporary file; unreadable or unwritable caches
-degrade to plain recomputation with a warning on stderr.
+field.  An entry file is named after its key, so its name ends in
+`__v<version>.json`; `clear` and `stats` touch only files named so, of any
+version, and leave every other file in the directory alone.  Writes go
+through a temporary file and an atomic rename, and a failed write removes
+its temporary file; unreadable or unwritable caches degrade to plain
+recomputation with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ def default_cache_dir() -> Path:
 def cache_key(family: str, params: dict) -> str:
     ptxt = "_".join(f"{k}{params[k]}" for k in sorted(params))
     return f"{family}_{ptxt}__v{__version__}"
+
+
+# every entry file name, whatever its version: cache_key ends in __v<version>
+_ENTRY_GLOB = "*__v*.json"
 
 
 def _entry_path(cache_dir: Path, key: str) -> Path:
@@ -97,11 +104,12 @@ def store(cache_dir: Path, family: str, params: dict, coeffs: list[str]) -> None
 
 
 def clear(cache_dir: Path) -> int:
-    """Remove all entries; returns the number of files removed."""
+    """Remove every entry file, of any version, and no other file; returns
+    the number of files removed."""
     if not cache_dir.exists():
         return 0
     removed = 0
-    for path in sorted(cache_dir.glob("*.json")):
+    for path in sorted(cache_dir.glob(_ENTRY_GLOB)):
         try:
             path.unlink()
             removed += 1
@@ -111,8 +119,9 @@ def clear(cache_dir: Path) -> int:
 
 
 def stats(cache_dir: Path) -> tuple[int, int]:
-    """(entry count, total bytes) for the cache directory."""
+    """(entry count, total bytes) of the entry files, of any version, in
+    the cache directory."""
     if not cache_dir.exists():
         return 0, 0
-    entries = list(cache_dir.glob("*.json"))
+    entries = list(cache_dir.glob(_ENTRY_GLOB))
     return len(entries), sum(p.stat().st_size for p in entries)

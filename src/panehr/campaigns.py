@@ -10,18 +10,17 @@ processes and still produce deterministic, ordered output.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import ehrhart, forests, oracle, processing
 from .exactmath import Polynomial, binomial, poly_leq
 
 
-@dataclass(frozen=True)
-class Row:
-    """Verdict for one checked tuple."""
+class Row(NamedTuple):
+    """Verdict for one checked tuple, as a NamedTuple: it pickles to and
+    from worker processes, and compares equal to a plain tuple of its
+    fields."""
 
     params: tuple[tuple[str, str], ...]
     ok: bool
@@ -34,8 +33,7 @@ class Row:
         return f"{status} {ptxt} expected={self.expected} actual={self.actual}"
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Aggregated outcome of one campaign run.
 
     A campaign passes iff every per-tuple verdict passes.
@@ -387,8 +385,7 @@ def run_bounds(kind: str, n: int) -> list[Row]:
 # registry and runner
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(NamedTuple):
     name: str
     units: Callable
     runner: Callable
@@ -459,6 +456,8 @@ def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> list[R
     merged = campaign_bounds(name, bounds, jobs)
     tasks = [(name, unit) for unit in CAMPAIGNS[name].units(**merged)]
     if jobs > 1 and len(tasks) > 1:
+        # only a run on a pool loads the multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_run_unit, tasks))
     else:

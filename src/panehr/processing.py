@@ -54,7 +54,6 @@ streamed forests positive_side accepted, not by classifying it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterator, NamedTuple, Optional
 
 from .forests import (
@@ -415,9 +414,9 @@ def reverse_trace(valued: Valued, q1: int) -> list[str]:
 # image characterization
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of an image membership test; rejection is a value."""
+class CheckResult(NamedTuple):
+    """Outcome of an image membership test, as a NamedTuple; rejection is a
+    value, and the record is truthy exactly when accepted."""
 
     accepted: bool
     j: Optional[int] = None

@@ -212,6 +212,21 @@ class TestCache:
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
         assert out.startswith("entries: 0")
 
+    def test_clear_and_stats_skip_foreign_files(self, capsys, tmp_path):
+        foreign = tmp_path / "package.json"
+        foreign.write_text('{"name": "not a cache entry"}')
+        stale = tmp_path / "panhandle_n4_r2_s2__v0.0.1.json"
+        stale.write_text("{}")
+        run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
+        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
+        assert code == 0 and out.startswith("entries: 2")
+        code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+        assert code == 0 and out.strip() == "removed: 2"
+        assert list(tmp_path.iterdir()) == [foreign]
+        assert foreign.read_text() == '{"name": "not a cache entry"}'
+        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
+        assert out.startswith("entries: 0")
+
     def test_entry_holds_only_key_and_coefficients(self, capsys, tmp_path):
         code, out, _ = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
         entry = json.loads(next(tmp_path.glob("*.json")).read_text())
@@ -368,7 +383,7 @@ class TestVerify:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         bounds = {"max_s": 1, "max_q": 1}
         assert len(campaigns.units_by_sq(**bounds)) == 2
         rows = campaigns.run_campaign("phi", bounds, jobs=64)
@@ -636,6 +651,18 @@ import panehr, panehr.cli
 print(json.dumps(built))
 """
     assert json.loads(_python("-c", script).stdout) == []
+
+
+def test_import_loads_no_pool_or_dataclass_machinery():
+    script = """
+import json, sys
+before = set(sys.modules)
+import panehr, panehr.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    added = set(json.loads(_python("-c", script).stdout))
+    assert "panehr.cli" in added
+    assert not added & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
 
 
 def test_module_entry_point_prints_what_main_prints(capsys):

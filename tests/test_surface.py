@@ -1,10 +1,16 @@
-"""The public surface: exported names, CLI family choices, campaign names."""
+"""The public surface: exported names, CLI family choices, campaign names,
+and the record types."""
 
 import argparse
+import concurrent.futures
+import pickle
+
+import pytest
 
 import panehr
 from panehr import campaigns
 from panehr.cli import build_parser
+from panehr.processing import CheckResult
 
 
 def _subparser(parser, name):
@@ -91,3 +97,65 @@ def test_campaign_bounds():
         "phi": ("max_s", "max_q"),
         "positivity": ("max_n",),
     }
+
+
+def test_record_fields():
+    assert campaigns.Row._fields == ("params", "ok", "expected", "actual")
+    assert campaigns.SweepReport._fields == ("campaign", "bounds", "rows", "wall_time")
+    assert campaigns.Campaign._fields == ("name", "units", "runner", "defaults",
+                                          "description")
+    assert CheckResult._fields == ("accepted", "j", "reason")
+    assert CheckResult._field_defaults == {"j": None, "reason": None}
+
+
+ROW = campaigns.Row((("s", "1"), ("q", "0")), False, "1", "2")
+
+
+def test_record_reprs():
+    assert repr(CheckResult(False, None, "no split index balances the weights")) == (
+        "CheckResult(accepted=False, j=None, reason='no split index balances the weights')")
+    assert repr(CheckResult(True, 2)) == "CheckResult(accepted=True, j=2, reason=None)"
+    assert repr(ROW) == ("Row(params=(('s', '1'), ('q', '0')), ok=False, "
+                         "expected='1', actual='2')")
+
+
+def test_record_truth_and_methods():
+    assert CheckResult(True) and not CheckResult(False, None, "rejected")
+    assert ROW  # a failing row is still a nonempty record
+    assert ROW.describe() == "FAIL s=1 q=0 expected=1 actual=2"
+    passing = ROW._replace(ok=True)
+    report = campaigns.SweepReport("phi", (), (passing, ROW), 0.0)
+    assert not report.passed and report.failures == (ROW,)
+    assert report._replace(rows=(passing,)).passed
+
+
+@pytest.mark.parametrize("record, field", [
+    (ROW, "ok"), (CheckResult(True), "accepted"),
+    (campaigns.SweepReport("phi", (), (), 0.0), "rows"),
+    (campaigns.CAMPAIGNS["phi"], "defaults")],
+    ids=["Row", "CheckResult", "SweepReport", "Campaign"])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_row_pickles():
+    back = pickle.loads(pickle.dumps(ROW))
+    assert type(back) is campaigns.Row and back == ROW
+
+
+def test_real_pool_rows_equal_serial_rows(monkeypatch):
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        # a real pool that records the pool size asked for
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    bounds = {"max_s": 2, "max_q": 1}
+    rows = campaigns.run_campaign("phi", bounds, jobs=2)
+    assert pools == [2]
+    assert rows == campaigns.run_campaign("phi", bounds, jobs=1)
+    assert all(type(row) is campaigns.Row for row in rows)
