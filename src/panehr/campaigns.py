@@ -132,15 +132,17 @@ def run_identity_upper(s: int, max_q: int) -> list[Row]:
 
 def run_per_term(s: int, q: int) -> list[Row]:
     rows = []
-    # the leader-1 census of [s+1] keys each class one step up in i, k and m
-    for side, census, up, term in (
-            ("plain", forests.dcf_signed_census(q, s), 0, forests.dcf_term_formula),
-            ("leader1", forests.dcf1_signed_census(q + 1, s + 1), 1,
-             forests.upper_term_formula)):
+    # the leader-1 census of [s+1] keys each class one step up in i, k and m,
+    # and up is also the summand's shift: the sides compare with the terms
+    # of dcf_term_formula (shift 0) and upper_term_formula (shift 1), whose
+    # query check runs here once per class, not once per i
+    for side, census, up in (("plain", forests.dcf_signed_census(q, s), 0),
+                             ("leader1", forests.dcf1_signed_census(q + 1, s + 1), 1)):
         for k, ell, m in _classes(s):
+            forests._check_query(q, s, k, ell, m)
             for i in range(q + 1):
                 counted = census.get((i + up, k + up, ell, m + up), 0)
-                formula = term(q, s, k, ell, m, i)
+                formula = forests._summand(q, s, k, ell, m, i, up)
                 rows.append(_row(
                     {"s": s, "q": q, "k": k, "ell": ell, "m": m, "i": i, "side": side},
                     counted, formula))

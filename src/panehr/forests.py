@@ -273,21 +273,29 @@ def _a_split(d: Distinguished) -> tuple[int, Optional[str]]:
     first, A blocks covering A, min-led and decreasing by leader."""
     blocks, _, aset = d
     split = len(blocks)
+    if not aset:  # every block is a non-A block
+        return split, None
     for idx, b in enumerate(blocks):
         if aset.isdisjoint(b):
             if idx > split:
                 return split, "non-A block after an A block"
         elif aset.issuperset(b):
-            split = min(split, idx)
+            if idx < split:
+                split = idx
         else:
             return split, f"block {b} mixes A and non-A elements"
     cpart = blocks[split:]
-    if set(flatten(cpart)) != set(aset):
+    # every block from split on lies in A, so they cover A when their union
+    # is as large as A
+    if len(set().union(*cpart)) != len(aset):
         return split, "A blocks do not cover A exactly"
-    for b in cpart:
-        if not _is_min_led(b):
+    increasing = False
+    for i, b in enumerate(cpart):
+        if b[0] != min(b):
             return split, f"A block {b} leader is not its minimum"
-    if any(cpart[i][0] < cpart[i + 1][0] for i in range(len(cpart) - 1)):
+        if i and cpart[i - 1][0] < b[0]:
+            increasing = True
+    if increasing:
         return split, "A blocks are not decreasing by leader"
     return split, None
 
@@ -307,11 +315,16 @@ def check_distinguished(d: Distinguished) -> int:
     split, violation = _a_split(d)
     if violation:
         raise ValueError(violation)
-    bpart = blocks[:split]
-    for b in bpart:
-        if block_weight(b) != 0:
+    # weight 0 is a leader that is its block's minimum; every block's
+    # weight is tested before the leader order
+    unordered = False
+    for i in range(split):
+        b = blocks[i]
+        if b[0] != min(b):
             raise ValueError(f"block {b} has nonzero weight")
-    if not is_naturally_ordered(bpart):
+        if i and blocks[i - 1][0] >= b[0]:
+            unordered = True
+    if unordered:
         raise ValueError("non-A blocks are not increasing by leader")
     return split
 

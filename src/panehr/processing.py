@@ -39,13 +39,23 @@ because the blocks in front of the target and their ranks do not change.
 _Run.run checks that processed count plus remaining values is conserved,
 _phi checks the block length sequence, _Run.unstep raises the four
 ReverseErrors of reverse_step, and reconstruct_state the three of the
-split-index search.  The shape rules of a valued forest (one value per
-block, values nonnegative, blocks nonempty and disjoint) live in
-forests._shape_violation: check_distinguished raises on them, image_check
-rejects as condition 0, and _Run.load, _reconstruct and run_processing
-raise ValueError; _Run.load also raises ValueError when a snapshot's P
-is not a subset of the blocks' elements or its L not a permutation of
-them.  _phi and _Run.__init__ take inputs already checked.
+split-index search.  Both split-index searches, in reconstruct_state and
+image_check, are one linear pass (_split_index): the balance at j = 0 is
+computed once, and each further j moves one trailing block from the
+weight sum to the sizes (plus values) sum, adding at least 1.  The shape
+rules of a valued forest (one value per block, values nonnegative, blocks
+nonempty and disjoint) live in forests._shape_violation:
+check_distinguished raises on them, image_check rejects as condition 0,
+and _Run.load, _reconstruct and run_processing raise ValueError; _Run.load
+also raises ValueError when a snapshot's P is not a subset of the blocks'
+elements or its L not a permutation of them.  _phi and _Run.__init__ take
+inputs already checked.
+The image candidates of a ground-set size s are built from frames
+(_image_frames): one walk over the ordered chain forests of [s] fixes each
+candidate's blocks, A, leading zero values, number of free values and
+base budget, and every budget q only spreads q - base over the free
+values.  The frames of the last four s are cached, so a phi sweep over
+the budgets of one s walks the forests once.
 The pairing battery (campaigns.run_involution) checks each streamed
 forest once, through involution_f on the minus side and positive_side
 elsewhere, and certifies a pairing image by finding it among the
@@ -54,6 +64,7 @@ streamed forests positive_side accepted, not by classifying it again.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Collection, Iterator, NamedTuple, Optional
 
 from .forests import (
@@ -128,12 +139,13 @@ class _Run:
         self.values = list(values)
         size = max(elems, default=0) + 1
         self.done = done = [False] * size
+        self.rank = rank = list(range(size))  # the canonical rank
         for x in processed:
             done[x] = True
+            rank[x] += size
         self.stack = sorted(processed)
         self.top = 2 * size
         self.start = 0
-        self.rank_canonically()
 
     @classmethod
     def load(cls, state: AlgorithmState) -> "_Run":
@@ -162,12 +174,6 @@ class _Run:
         processed += [x for b in blocks[len(blocks) - j:] for x in b]
         return cls(blocks, valued.values, processed)
 
-    def rank_canonically(self) -> None:
-        size = len(self.done)
-        self.rank = rank = list(range(size))
-        for x in self.stack:
-            rank[x] += size
-
     def blocks(self) -> Forest:
         elems = self.elems
         return tuple([tuple(elems[a:b]) for a, b in self.bounds])
@@ -184,6 +190,8 @@ class _Run:
         """Move every element from position a on by step places, cyclically,
         along L; returns those elements sorted by L, before the move."""
         elems = self.elems
+        if a == len(elems) - 1:  # one element moves onto itself
+            return [elems[a]]
         tail = elems[a:]
         tail.sort(key=self.rank.__getitem__)
         shift = dict(zip(tail, tail[step:] + tail[:step]))
@@ -259,15 +267,24 @@ class _Run:
                                  "nor sits in an all-processed block")
 
     def run(self, trail: Optional[list[AlgorithmState]] = None) -> None:
-        """Step to the fixed point, appending each new snapshot to trail."""
-        budget = len(self.stack) + sum(self.values)
+        """Step to the fixed point, appending each new snapshot to trail.
+
+        Processed count plus remaining values is conserved: each step must
+        process one more element, and at the fixed point the values must
+        have dropped by the number of steps."""
+        stack, values = self.stack, self.values
+        processed = len(stack)
+        budget = processed + sum(values)
         whole = True
         while self.step(whole):
             whole = False
-            if len(self.stack) + sum(self.values) != budget:
+            processed += 1
+            if len(stack) != processed:
                 raise AssertionError("processed count plus remaining values is not conserved")
             if trail is not None:
                 trail.append(self.snapshot())
+        if processed + sum(values) != budget:
+            raise AssertionError("processed count plus remaining values is not conserved")
 
     def unstep(self, q1: int) -> None:
         """Undo one iteration of a run with value budget q1."""
@@ -376,10 +393,9 @@ def _reconstruct(valued: Valued, q1: int) -> _Run:
         raise ValueError(violation)
     r = len(blocks)
     weights = [block_weight(b) for b in blocks]
-    for j in range(r + 1):
-        if sum(weights[:r - j]) + sum(len(b) for b in blocks[r - j:]) + sum(values) == q1:
-            break
-    else:
+    j = _split_index(sum(weights) + sum(values),
+                     [len(blocks[i]) - weights[i] for i in reversed(range(r))], q1)
+    if j is None:
         raise ReverseError(f"no split index balances the budget {q1}")
     if not all(_is_min_led(b) for b in blocks[r - j:]):
         raise ReverseError("a trailing all-processed block has nonzero weight")
@@ -389,6 +405,20 @@ def _reconstruct(valued: Valued, q1: int) -> _Run:
     return run
 
 
+def _split_index(lhs: int, moves: list[int], q: int) -> Optional[int]:
+    """The first split index j with lhs + moves[0] + ... + moves[j-1] = q,
+    or None.  lhs is the balance at j = 0, and moves[j] is what taking one
+    more trailing block, the (j+1)-th from the end, as all processed adds:
+    its size (plus its value) less its weight.  That is at least 1, since
+    the leader is not below itself, so the balance grows with j and the
+    search stops once it reaches q."""
+    j = 0
+    while lhs < q and j < len(moves):
+        lhs += moves[j]
+        j += 1
+    return j if lhs == q else None
+
+
 def reverse_step(state: AlgorithmState, q1: int) -> AlgorithmState:
     """Undo one iteration; inverse of process_step on genuine snapshots.
 
@@ -396,8 +426,7 @@ def reverse_step(state: AlgorithmState, q1: int) -> AlgorithmState:
     carries the canonical order."""
     run = _Run.load(state)
     run.unstep(q1)
-    run.rank_canonically()
-    return run.snapshot()
+    return _Run(run.blocks(), run.values, run.stack).snapshot()
 
 
 def reverse_trace(valued: Valued, q1: int) -> list[str]:
@@ -464,24 +493,17 @@ def image_check(d: Distinguished, q: int, k: Optional[int] = None,
 
     r = len(bpart)
     weights = [block_weight(b) for b in bpart]
-    rest = len(aset) + sum(values[split:])
-    for j in range(r + 1):
-        lhs = (sum(weights[:r - j])
-               + sum(len(b) + values[i] for i, b in enumerate(bpart) if i >= r - j)
-               + rest)
-        if lhs == q:
-            break
-    else:
+    j = _split_index(len(aset) + sum(values[split:]) + sum(weights),
+                     [len(bpart[i]) + values[i] - weights[i] for i in reversed(range(r))], q)
+    if j is None:
         return _reject("condition 4: no split index balances the budget")
-    suffix = bpart[r - j:]
-    if not all(_is_min_led(b) for b in suffix):
+    if any(weights[r - j:]):  # weight 0 is a leader that is its block's minimum
         return _reject("condition 2: a trailing block leader is not its minimum")
-    if not is_naturally_ordered(suffix):
+    if not is_naturally_ordered(bpart[r - j:]):
         return _reject("condition 2: trailing blocks not increasing by leader")
-    prefix = bpart[:r - j]
-    if not is_naturally_ordered(prefix):
+    if not is_naturally_ordered(bpart[:r - j]):
         return _reject("condition 3: leading blocks not increasing by leader")
-    if any(values[i] != 0 for i in range(r - j)):
+    if any(values[:r - j]):
         return _reject("condition 3: a leading block has nonzero value")
 
     if k is not None and len(blocks) != k:
@@ -515,11 +537,29 @@ def phi_inverse(d: Distinguished, q: int) -> Distinguished:
 def enumerate_image_candidates(q: int, s: int) -> Iterator[Distinguished]:
     """Constructively enumerate everything image_check accepts for (q, s).
 
-    Walks every ordered chain forest of [s], every admissible trailing
-    A part, every admissible split index, and every distribution of the
-    leftover budget, which by the characterization is exactly the image
-    of phi on the budget-q distinguished forests.
+    Takes the frames of [s] (_image_frames) and spreads the budget left
+    over by each one's base in every way over its last parts blocks,
+    which by the characterization is exactly the image of phi on the
+    budget-q distinguished forests.
     """
+    for blocks, aset, zeros, parts, base in _image_frames(s):
+        if base <= q:
+            for comp in compositions(q - base, parts):
+                yield Distinguished(blocks, zeros + comp, aset)
+
+
+# the frames of one s serve a phi sweep over its budgets; the four last s
+# are kept: the frames of s <= 4 take about 160 KiB, those of s = 6 about
+# 14 MiB (37 633 frames), and each s multiplies them about tenfold
+@lru_cache(maxsize=4)
+def _image_frames(s: int) -> tuple[tuple[Forest, frozenset[int], tuple[int, ...], int, int], ...]:
+    """The image of phi for every budget, less its values: one frame per
+    ordered chain forest of [s], admissible trailing A part and admissible
+    split index j.  A frame (blocks, A, zeros, parts, base) stands for the
+    value vectors zeros + c, c a composition of q - base into parts, for
+    every budget q >= base; base is the weight of the leading blocks plus
+    the sizes of the trailing ones and of A."""
+    frames = []
     for blocks in all_ordered_chain_forests(range(1, s + 1)):
         kk = len(blocks)
         min_led = [_is_min_led(b) for b in blocks]
@@ -545,12 +585,8 @@ def enumerate_image_candidates(q: int, s: int) -> Iterator[Distinguished]:
                     continue
                 base = sum(block_weight(b) for b in bpart[:r - j]) + \
                     sum(len(b) for b in bpart[r - j:]) + len(aset)
-                remainder = q - base
-                if remainder < 0:
-                    continue
-                for comp in compositions(remainder, j + p):
-                    values = (0,) * (r - j) + comp
-                    yield Distinguished(blocks, values, aset)
+                frames.append((blocks, aset, (0,) * (r - j), j + p, base))
+    return tuple(frames)
 
 
 # ---------------------------------------------------------------------------

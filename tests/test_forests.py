@@ -179,9 +179,22 @@ class TestEnumerateDCF:
         (((3,), (2, 1)), (0, 0), (1, 2), "leader is not its minimum"),
         (((2,), (1,)), (0, 0), (), "non-A blocks are not increasing"),
         (((1,), (2,)), (0, 0), (1, 2), "A blocks are not decreasing"),
+        # two rules broken at once: the first in rule order names the failure
+        (((2, 1), (1, 3)), (0, -1), (3,), "nonnegative"),
+        (((3,), (1, 2)), (0, 0), (1, 3), r"block \(1, 2\) mixes A and non-A"),
+        (((2,), (1,), (3, 4)), (0, 0, 0), (2, 3), "non-A block after an A block"),
+        (((1,), (3, 2)), (0, 0), (2, 3, 4), "do not cover A"),
+        (((3,), (5,), (6, 4)), (0, 0, 0), (3, 4, 5, 6),
+         r"A block \(6, 4\) leader is not its minimum"),
+        (((2, 1), (3, 4)), (0, 0), (3,), r"block \(3, 4\) mixes A and non-A"),
+        (((3,), (2,), (5, 4)), (0, 0, 0), (), r"block \(5, 4\) has nonzero weight"),
     ], ids=["value-count", "negative-value", "empty-block", "repeated-element",
             "mixed-block", "non-a-after-a", "a-not-covered", "nonzero-weight",
-            "a-block-weight", "non-a-leaders", "a-leaders"])
+            "a-block-weight", "non-a-leaders", "a-leaders",
+            "negative-value-before-mixed", "mixed-block-after-a-block",
+            "non-a-after-a-before-mixed", "a-not-covered-before-a-block-weight",
+            "a-block-weight-before-a-leaders", "mixed-before-nonzero-weight",
+            "nonzero-weight-before-non-a-leaders"])
     def test_check_distinguished_rejects(self, blocks, values, aset, message):
         with pytest.raises(ValueError, match=message):
             forests.check_distinguished(Distinguished(blocks, values, frozenset(aset)))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -438,6 +439,45 @@ def test_malformed_valued_forest_is_rejected(entry, args, rule):
             entry(*args)
 
 
+# Forests that break two rules of image_check at once, and the one named:
+# the rules are tested in order, condition 0 first.
+TWO_RULES = [
+    pytest.param(Distinguished(((2, 1), (3, 4)), (0, -1), frozenset({3})), 0, {},
+                 "condition 0: values must be nonnegative", id="shape-before-mixed-block"),
+    pytest.param(Distinguished(((2, 1), (3, 4)), (0, 0), frozenset({3})), 0, {},
+                 "condition 1: block (3, 4) mixes A and non-A elements",
+                 id="mixed-block-before-balance"),
+    pytest.param(Distinguished(((1,), (3, 2)), (0, 0), frozenset({2, 3, 4})), 0, {},
+                 "condition 1: A blocks do not cover A exactly",
+                 id="a-not-covered-before-a-block-weight"),
+    pytest.param(Distinguished(((2,), (1,)), (0, 0), frozenset()), 5,
+                 {"k": 2, "ell": 0, "m": 2, "upper": True},
+                 "upper condition: 1 is not in the last A block", id="upper-before-balance"),
+    pytest.param(Distinguished(((3,), (2, 1)), (0, 0), frozenset()), 3, {},
+                 "condition 2: a trailing block leader is not its minimum",
+                 id="trailing-weight-before-trailing-leaders"),
+    pytest.param(Distinguished(((4,), (3,), (2,), (1,)), (0, 0, 0, 0), frozenset()), 2, {},
+                 "condition 2: trailing blocks not increasing by leader",
+                 id="trailing-leaders-before-leading-leaders"),
+    pytest.param(Distinguished(((2,), (1,)), (1, 0), frozenset()), 0, {},
+                 "condition 3: leading blocks not increasing by leader",
+                 id="leading-leaders-before-leading-value"),
+    pytest.param(Distinguished(((1, 3), (2,), (4,)), (1, 0, 0), frozenset()), 0,
+                 {"k": 2, "ell": 0, "m": 2},
+                 "condition 3: a leading block has nonzero value",
+                 id="leading-value-before-class"),
+]
+
+
+@pytest.mark.parametrize("d, q, given, reason", TWO_RULES)
+def test_image_check_names_the_first_broken_rule(d, q, given, reason):
+    verdict = image_check(d, q, **given)
+    assert tuple(verdict) == (False, None, reason)
+    if not given:
+        with pytest.raises(ValueError, match=re.escape(f"not in the image of phi: {reason}")):
+            phi_inverse(d, q)
+
+
 class TestCheckOnce:
     def test_kernel_split_index_matches_image_check(self):
         from panehr import processing
@@ -765,3 +805,193 @@ def test_round_trip_on_long_tails(d):
     assert phi_inverse(image, len(d.aset) + sum(d.values)) == d
     nondist, _ = non_a_part(image)
     assert phi_trace(d)[-1].split(" | ")[0] == format_valued(*nondist)
+
+
+# ---------------------------------------------------------------------------
+# reference checks: the forest checks with one pass per rule, the split
+# searches that sum each candidate balance anew, and the image-candidate
+# walk over every ordered chain forest for each budget, as they were
+# before the single-pass rewrite; the rewrite must agree with them on
+# every verdict, split index, message and candidate, order included
+
+
+def reference_a_split(d):
+    blocks, _, aset = d
+    split = len(blocks)
+    for idx, b in enumerate(blocks):
+        if aset.isdisjoint(b):
+            if idx > split:
+                return split, "non-A block after an A block"
+        elif aset.issuperset(b):
+            split = min(split, idx)
+        else:
+            return split, f"block {b} mixes A and non-A elements"
+    cpart = blocks[split:]
+    if set(forests.flatten(cpart)) != set(aset):
+        return split, "A blocks do not cover A exactly"
+    for b in cpart:
+        if b[0] != min(b):
+            return split, f"A block {b} leader is not its minimum"
+    if any(cpart[i][0] < cpart[i + 1][0] for i in range(len(cpart) - 1)):
+        return split, "A blocks are not decreasing by leader"
+    return split, None
+
+
+def reference_check_distinguished(d):
+    """The split index check_distinguished returns, or the message it raises."""
+    if violation := forests._shape_violation(d.blocks, d.values):
+        return violation
+    split, violation = reference_a_split(d)
+    if violation:
+        return violation
+    bpart = d.blocks[:split]
+    for b in bpart:
+        if forests.block_weight(b) != 0:
+            return f"block {b} has nonzero weight"
+    if not forests.is_naturally_ordered(bpart):
+        return "non-A blocks are not increasing by leader"
+    return split
+
+
+def reference_image_check(d, q):
+    """(accepted, j, reason) of image_check(d, q), with no class given."""
+    blocks, values, aset = d
+    if violation := forests._shape_violation(blocks, values):
+        return False, None, f"condition 0: {violation}"
+    split, violation = reference_a_split(d)
+    if violation:
+        return False, None, f"condition 1: {violation}"
+    bpart = blocks[:split]
+    r = len(bpart)
+    weights = [forests.block_weight(b) for b in bpart]
+    rest = len(aset) + sum(values[split:])
+    for j in range(r + 1):
+        lhs = (sum(weights[:r - j])
+               + sum(len(b) + values[i] for i, b in enumerate(bpart) if i >= r - j)
+               + rest)
+        if lhs == q:
+            break
+    else:
+        return False, None, "condition 4: no split index balances the budget"
+    if not all(b[0] == min(b) for b in bpart[r - j:]):
+        return False, None, "condition 2: a trailing block leader is not its minimum"
+    if not forests.is_naturally_ordered(bpart[r - j:]):
+        return False, None, "condition 2: trailing blocks not increasing by leader"
+    if not forests.is_naturally_ordered(bpart[:r - j]):
+        return False, None, "condition 3: leading blocks not increasing by leader"
+    if any(values[i] != 0 for i in range(r - j)):
+        return False, None, "condition 3: a leading block has nonzero value"
+    return True, j, None
+
+
+def reference_reconstruct(valued, q1):
+    """The snapshot reconstruct_state returns; raises its ReverseErrors."""
+    blocks, values = valued
+    r = len(blocks)
+    weights = [forests.block_weight(b) for b in blocks]
+    for j in range(r + 1):
+        if sum(weights[:r - j]) + sum(len(b) for b in blocks[r - j:]) + sum(values) == q1:
+            break
+    else:
+        raise ReverseError(f"no split index balances the budget {q1}")
+    if not all(b[0] == min(b) for b in blocks[r - j:]):
+        raise ReverseError("a trailing all-processed block has nonzero weight")
+    state = reference_snapshot(valued, j)
+    if j < r and state.processed.issuperset(blocks[r - j - 1]):
+        raise ReverseError("split index inconsistent with the processed set")
+    return state
+
+
+def reference_image_candidates(q, s):
+    for blocks in forests.all_ordered_chain_forests(range(1, s + 1)):
+        kk = len(blocks)
+        min_led = [b[0] == min(b) for b in blocks]
+        leaders = [b[0] for b in blocks]
+        p_max = 0
+        while p_max < kk and min_led[kk - 1 - p_max] and \
+                (p_max == 0 or leaders[kk - 1 - p_max] > leaders[kk - p_max]):
+            p_max += 1
+        prefix_natural = [True] * (kk + 1)
+        for i in range(1, kk + 1):
+            prefix_natural[i] = prefix_natural[i - 1] and \
+                (i < 2 or leaders[i - 2] < leaders[i - 1])
+        for p in range(p_max + 1):
+            r = kk - p
+            bpart, cpart = blocks[:r], blocks[r:]
+            aset = frozenset(x for b in cpart for x in b)
+            j_max = 0
+            while j_max < r and min_led[r - 1 - j_max] and \
+                    (j_max == 0 or leaders[r - 1 - j_max] < leaders[r - j_max]):
+                j_max += 1
+            for j in range(j_max + 1):
+                if not prefix_natural[r - j]:
+                    continue
+                base = sum(forests.block_weight(b) for b in bpart[:r - j]) + \
+                    sum(len(b) for b in bpart[r - j:]) + len(aset)
+                if q - base < 0:
+                    continue
+                for comp in forests.compositions(q - base, j + p):
+                    yield Distinguished(blocks, (0,) * (r - j) + comp, aset)
+
+
+def outcome(fn, *args):
+    """What fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstReferenceChecks:
+    def test_checks_agree_on_the_brute_force_grid(self):
+        # every ordered chain forest, A and value vector, s <= 3, q <= 3
+        from itertools import chain, combinations
+
+        for s in range(0, 4):
+            subsets = [frozenset(c) for c in chain.from_iterable(
+                combinations(range(1, s + 1), size) for size in range(s + 1))]
+            for blocks in forests.all_ordered_chain_forests(range(1, s + 1)):
+                for aset in subsets:
+                    for total in range(4):
+                        for values in forests.compositions(total, len(blocks)):
+                            d = Distinguished(blocks, values, aset)
+                            assert outcome(forests.check_distinguished, d) == \
+                                reference_check_distinguished(d), d
+                            for q in range(4):
+                                assert tuple(image_check(d, q)) == \
+                                    reference_image_check(d, q), (d, q)
+                    if not aset:
+                        for values in forests.compositions(3, len(blocks)):
+                            valued = Valued(blocks, values)
+                            for q1 in range(9):
+                                assert outcome(reconstruct_state, valued, q1) == \
+                                    outcome(reference_reconstruct, valued, q1), (valued, q1)
+
+    def test_image_candidates_keep_their_order(self):
+        from panehr import processing
+
+        processing._image_frames.cache_clear()
+        for attempt in ("cold", "cached"):
+            for s in range(0, 5):
+                for q in range(0, 7):
+                    assert list(enumerate_image_candidates(q, s)) == \
+                        list(reference_image_candidates(q, s)), (attempt, s, q)
+        info = processing._image_frames.cache_info()
+        assert info.hits > 0 and info.maxsize is not None  # the frame cache is bounded
+
+
+# Rows of run_phi and run_involution over the enumerate benchmark's grid
+# (s <= 4, q <= 6): the sha256 of their describe() lines, joined by
+# newlines, pinned on the kernel as it was before the single-pass checks.
+GOLDEN_ROWS_SHA256 = "5f8fba920c4de45ef60ec6e30884b9aa4107c9f17831799893e101be286ef2bc"
+
+
+def test_battery_rows_match_the_golden_digest():
+    import hashlib
+
+    from panehr import campaigns
+
+    lines = [row.describe() for runner in (campaigns.run_phi, campaigns.run_involution)
+             for unit in campaigns.units_by_sq(4, 6) for row in runner(**unit)]
+    assert len(lines) == 168
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_ROWS_SHA256
