@@ -5,12 +5,19 @@ quantity against its closed form (or a lattice-point count against a
 polynomial), and emits one Row per checked tuple.  Campaigns are pure
 functions of their bounds, so they can fan out over work units in worker
 processes and still produce deterministic, ordered output.
+
+A run holds every row until it prints, so rows are built from shared
+parts: each (name, value) parameter pair is one cached tuple per process
+(`_param`), and a row whose actual text equals its expected text holds
+that one string twice.  Pickling a chunk of rows back from a worker
+writes a shared pair once.  The rows and their text are unchanged.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, starmap
 from typing import Callable, Iterator, NamedTuple
 
 from . import ehrhart, forests, oracle, processing
@@ -53,13 +60,23 @@ class SweepReport(NamedTuple):
         return tuple(r for r in self.rows if not r.ok)
 
 
+# the nine campaigns at their defaults use 175 distinct pairs; typed keeps
+# ("x", True) and ("x", 1) apart
+@lru_cache(maxsize=4096, typed=True)
+def _param(key: str, value) -> tuple[str, str]:
+    """The one (key, str(value)) pair of this process for the arguments."""
+    return key, str(value)
+
+
 def _row(params: dict, expected, actual) -> Row:
-    return Row(tuple((k, str(v)) for k, v in params.items()),
-               expected == actual, str(expected), str(actual))
+    etxt, atxt = str(expected), str(actual)
+    if atxt == etxt:
+        atxt = etxt
+    return Row(tuple(starmap(_param, params.items())), expected == actual, etxt, atxt)
 
 
 def _bool_row(params: dict, ok: bool, expected: str, actual: str) -> Row:
-    return Row(tuple((k, str(v)) for k, v in params.items()), ok, expected, actual)
+    return Row(tuple(starmap(_param, params.items())), ok, expected, actual)
 
 
 # ---------------------------------------------------------------------------

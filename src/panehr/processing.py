@@ -606,7 +606,8 @@ def positive_side(d: Distinguished) -> bool:
     when d is not a valid distinguished forest.
     """
     split = check_distinguished(d)
-    if negative_side(d):
+    # a valid d has exactly len(d.blocks) - split A blocks
+    if (len(d.blocks) - split) % 2 == 1:
         return False
     if d.aset:
         return True
@@ -623,7 +624,9 @@ def involution_f(d: Distinguished) -> Distinguished:
     exactly one, flipping the sign.
     """
     split = check_distinguished(d)
-    if not negative_side(d):
+    # a valid d has exactly len(d.blocks) - split A blocks
+    a_blocks = len(d.blocks) - split
+    if a_blocks % 2 == 0:
         raise ValueError("involution_f is only defined on the sign -1 side")
     q = len(d.aset) + sum(d.values)
     # phi keeps the A part and the block lengths, so img splits where d does
@@ -637,6 +640,6 @@ def involution_f(d: Distinguished) -> Distinguished:
         new_aset = aset | set(bpart[-1])
     moved = Distinguished(blocks, values, new_aset)
     result = phi_inverse(moved, q)
-    if abs(distinguished_block_count(result) - distinguished_block_count(d)) != 1:
+    if abs(distinguished_block_count(result) - a_blocks) != 1:
         raise AssertionError("distinguished part did not change by exactly one block")
     return result

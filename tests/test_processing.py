@@ -995,3 +995,25 @@ def test_battery_rows_match_the_golden_digest():
              for unit in campaigns.units_by_sq(4, 6) for row in runner(**unit)]
     assert len(lines) == 168
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_ROWS_SHA256
+
+
+def test_the_pairing_reads_its_sign_from_the_split(monkeypatch):
+    from panehr import processing
+
+    counted = []
+    original = processing.distinguished_block_count
+    monkeypatch.setattr(processing, "distinguished_block_count",
+                        lambda d: counted.append(d) or original(d))
+    for s in range(1, 5):
+        for q in range(4):
+            for d in forests.iter_dcf(q, s):
+                minus = original(d) % 2 == 1
+                counted.clear()
+                assert not (positive_side(d) and minus)
+                assert counted == []
+                if minus:
+                    y = involution_f(d)
+                    # the result is counted, and phi_inverse counts the image
+                    # it inverts, but d is never counted
+                    assert d not in counted
+                    assert y in counted
