@@ -229,8 +229,13 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_hyperplane(spec: str) -> frozenset[int]:
-    """Elements of a comma-separated hyperplane; repeating one is an error."""
-    elements = [int(x) for x in spec.split(",")]
+    """Elements of a comma-separated hyperplane; a part that is not an
+    integer, or an element repeated, is an error that names the spec."""
+    try:
+        elements = [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"hyperplane {spec!r} is not a comma-separated list "
+                         "of integers") from None
     for idx, x in enumerate(elements):
         if x in elements[:idx]:
             raise ValueError(f"hyperplane {spec} repeats element {x}")

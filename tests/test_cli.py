@@ -524,6 +524,14 @@ class TestOracleCommand:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("spec", ["1,,2", "", "a"])
+    def test_hyperplane_that_is_not_integers_is_named(self, capsys, spec):
+        code, out, err = run(capsys, "oracle", "count", "paving", "--r", "2",
+                             "--n", "4", "--hyperplane", spec, "--t", "2")
+        assert code == 2 and out == ""
+        assert err == (f"panehr: error: hyperplane '{spec}' is not a "
+                       "comma-separated list of integers\n")
+
     @pytest.mark.parametrize("argv", [
         ("panhandle", "--r", "1", "--s", "1", "--n", "2"),
         ("hypersimplex", "--r", "1", "--n", "3"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panehr import campaigns
+from panehr import campaigns, oracle
 from panehr.exactmath import Polynomial
 from panehr.ehrhart import (
     ehr_hypersimplex,
@@ -301,6 +301,67 @@ class TestPavingCountsAnyFamily:
         for t in range(5):
             assert count_points_paving(r, n, cuts, t) == \
                 count_points_paving_slow(r, n, cuts, t), t
+
+    @pytest.mark.parametrize("cuts", [
+        [{1, 2, 3}, {2, 3, 4}],
+        [{1, 2, 3}, {3, 4, 5}, {1, 5}],
+    ], ids=["two-cuts", "three-cuts"])
+    def test_matches_raw_enumeration_when_the_cut_bound_is_zero(self, cuts):
+        # r = 1 or t = 0 make the bound (r-1)*t zero: the key base is 1,
+        # so every key is 0
+        cuts = [frozenset(h) for h in cuts]
+        cases = [(1, t) for t in range(4)] + [(r, 0) for r in range(1, 7)]
+        for r, t in cases:
+            assert count_points_paving(r, 6, cuts, t) == \
+                count_points_paving_slow(r, 6, cuts, t), (r, t)
+
+    def test_matches_raw_enumeration_when_a_cut_fills_before_its_last_atom(self):
+        # both cuts open on the atom {3, 4}, whose sum reaches the bound 2t
+        # at x3 = x4 = t: both key digits sit at their largest value, and
+        # the atoms {1, 2} and {5} that close the cuts get no room
+        cuts = [frozenset({1, 2, 3, 4}), frozenset({3, 4, 5})]
+        for t in range(5):
+            assert count_points_paving(3, 6, cuts, t) == \
+                count_points_paving_slow(3, 6, cuts, t), t
+
+    @pytest.mark.parametrize("r, n, cuts", [
+        (3, 6, [{1, 5, 6}, {2, 3, 5}, {3, 4, 6}]),
+        (4, 6, [{1, 2, 3, 5, 6}, {1, 2, 3, 5}]),
+        (2, 6, [{1, 2, 3}, {3, 4}, {4, 5}]),
+    ], ids=["triangle", "nested-pair", "chain"])
+    def test_matches_raw_enumeration_reversed_and_repeated(self, r, n, cuts):
+        cuts = [frozenset(h) for h in cuts]
+        for other in (cuts[::-1], cuts + [cuts[0]], [cuts[-1]] + cuts):
+            for t in range(4):
+                assert count_points_paving(r, n, other, t) == \
+                    count_points_paving_slow(r, n, other, t), (other, t)
+
+    def test_invalid_cut_raises_on_every_call(self):
+        valid = [frozenset({1, 2})]
+        bad = [frozenset({1, 2}), frozenset({1, 2, 3, 4})]
+        assert count_points_paving(2, 4, valid, 2) == \
+            count_points_paving_slow(2, 4, valid, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"\[1, 2, 3, 4\] is not a proper subset"):
+                count_points_paving(2, 4, bad, 2)
+
+    def test_graham_sloane_family_at_three_seven(self):
+        # the triples of Z_7 whose residues sum to 0: five hyperplanes of a
+        # sparse paving matroid, as two triples share at most one element
+        triples = [frozenset(x + 1 for x in c) for c in combinations(range(7), 3)
+                   if sum(c) % 7 == 0]
+        assert len(triples) == 5
+        poly = ehr_paving(3, 7, [3] * 5)
+        for t in range(4):
+            assert count_points_paving(3, 7, triples, t) == poly.evaluate(t), t
+
+    def test_one_walk_plan_per_family(self):
+        cuts = [frozenset({1, 2, 3}), frozenset({3, 4, 5}), frozenset({2, 5, 6})]
+        oracle._walk_plan.cache_clear()
+        count_points_paving(3, 7, cuts, 2)
+        count_points_paving(3, 7, cuts, 5)
+        info = oracle._walk_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_bounded_sum_rows_are_shared_tuples(self):
         row = _bounded_sum_counts(3, 2)
