@@ -201,13 +201,17 @@ def run_phi(s: int, q: int) -> list[Row]:
                           not problems,
                           f"{count} forests map injectively and round-trip",
                           problems[0] if problems else f"{count} verified"))
-    candidates = set(processing.enumerate_image_candidates(q, s))
-    mismatch = candidates.symmetric_difference(images.keys())
-    sample = forests.format_distinguished(next(iter(mismatch))) if mismatch else ""
+    n_images = len(images)
+    # each candidate pops the image it hits, so a candidate given twice
+    # misses the second time; the images left over were never hit
+    mismatch = [d for d in processing.enumerate_image_candidates(q, s)
+                if images.pop(d, None) is None]
+    mismatch.extend(images)
+    sample = forests.format_distinguished(mismatch[0]) if mismatch else ""
     rows.append(_bool_row({"s": s, "q": q, "check": "image-complete"},
                           not mismatch,
-                          f"{len(candidates)} accepted candidates all hit",
-                          f"{len(images)} images, diff {len(mismatch)} {sample}"))
+                          f"{n_images} accepted candidates all hit",
+                          f"{n_images} images, diff {len(mismatch)} {sample}"))
     return rows
 
 

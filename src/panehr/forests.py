@@ -27,8 +27,9 @@ count by (head, lengths) and expands each distinct bucket into its
 expands only the skeletons in the query's cell, by that rule (tally_gamma).
 The skeleton counts use factorials and composition counts only, nothing
 of the closed forms.  The brute-force generator all_ordered_chain_forests
-(every permutation cut into blocks) shares no code with the walk and is
-the independent reference for the streams.
+(every permutation cut into blocks) shares no code with the walk: no
+production code calls it, and the tests check the streams and the image
+candidates of processing against it.
 
 The enumerators and the closed forms own the rules of a query
 (q, s, k, ell, m), with the |A| slice i of the per-term side, and share
@@ -137,8 +138,8 @@ def naturally_ordered_forests(elements: Sequence[int]) -> Iterator[Forest]:
 def all_ordered_chain_forests(elements: Sequence[int]) -> Iterator[Forest]:
     """Every ordered chain forest: all block orders, all internal orders.
 
-    Brute-force generator (permutation times cut set); exponential, kept
-    as the independent cross-check for the structured enumerators.
+    Brute-force generator (permutation times cut set), exponential: only
+    the tests call it, as the reference for streams and image candidates.
     """
     elems = tuple(elements)
     n = len(elems)
@@ -402,17 +403,22 @@ def _led_partitions(elements: Sequence[int], keep: Collection[int] = ()
     yield from rec(0)
 
 
+def _orders(led: Sequence[_Led]) -> Iterator[Forest]:
+    """The forests with these led blocks, in this order: every block keeps
+    its leader and takes every order of its other elements."""
+    # the weight of a block is its leader's index among its elements; a
+    # block of at most two elements has one order
+    return product(*[[(x,) + b[:w] + b[w + 1:]] if len(b) < 3
+                     else [(x, *rest) for rest in permutations(b[:w] + b[w + 1:])]
+                     for x, b, w in led])
+
+
 def _expand(skeletons: Iterable[_Skeleton]) -> Iterator:
-    """The objects the skeletons stand for, each exactly once: every block
-    keeps its leader and takes every order of its other elements.  With A
-    given, every composition of the budget into the first parts blocks is
-    a value vector, with value 0 on the blocks after them."""
+    """The objects the skeletons stand for, each exactly once (_orders);
+    with A given, every composition of the budget into the first parts
+    blocks is a value vector, with value 0 on the blocks after them."""
     for _, led, _, _, aset, parts, budget in skeletons:
-        # the weight of a block is its leader's index among its elements;
-        # a block of at most two elements has one order
-        forests = product(*[[(x,) + b[:w] + b[w + 1:]] if len(b) < 3
-                            else [(x, *rest) for rest in permutations(b[:w] + b[w + 1:])]
-                            for x, b, w in led])
+        forests = _orders(led)
         if aset is None:
             yield from forests
         else:

@@ -51,11 +51,10 @@ also raises ValueError when a snapshot's P is not a subset of the blocks'
 elements or its L not a permutation of them.  _phi and _Run.__init__ take
 inputs already checked.
 The image candidates of a ground-set size s are built from frames
-(_image_frames): one walk over the ordered chain forests of [s] fixes each
-candidate's blocks, A, leading zero values, number of free values and
-base budget, and every budget q only spreads q - base over the free
-values.  The frames of the last four s are cached, so a phi sweep over
-the budgets of one s walks the forests once.
+(_image_frames), one walk of forests' partition walker per s that fixes
+each candidate's blocks, A, leading zero values, number of free values
+and base budget; every budget q only spreads q - base over the free
+values, and the frames of the last four s are cached.
 The pairing battery (campaigns.run_involution) checks each streamed
 forest once, through involution_f on the minus side and positive_side
 elsewhere, and certifies a pairing image by finding it among the
@@ -65,6 +64,7 @@ streamed forests positive_side accepted, not by classifying it again.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Collection, Iterator, NamedTuple, Optional
 
 from .forests import (
@@ -72,12 +72,14 @@ from .forests import (
     Forest,
     Valued,
     _a_split,
+    _cf_skeletons,
     _check_pair,
     _is_min_led,
+    _led_partitions,
     _leader_position_ok,
     _leader_starts,
+    _orders,
     _shape_violation,
-    all_ordered_chain_forests,
     block_weight,
     check_distinguished,
     compositions,
@@ -549,43 +551,29 @@ def enumerate_image_candidates(q: int, s: int) -> Iterator[Distinguished]:
 
 
 # the frames of one s serve a phi sweep over its budgets; the four last s
-# are kept: the frames of s <= 4 take about 160 KiB, those of s = 6 about
-# 14 MiB (37 633 frames), and each s multiplies them about tenfold
+# are kept: the frames of s <= 4 take about 190 KiB, those of s = 6 about
+# 11 MiB (37 633 frames), and each s multiplies them about ninefold
 @lru_cache(maxsize=4)
 def _image_frames(s: int) -> tuple[tuple[Forest, frozenset[int], tuple[int, ...], int, int], ...]:
-    """The image of phi for every budget, less its values: one frame per
-    ordered chain forest of [s], admissible trailing A part and admissible
-    split index j.  A frame (blocks, A, zeros, parts, base) stands for the
-    value vectors zeros + c, c a composition of q - base into parts, for
-    every budget q >= base; base is the weight of the leading blocks plus
-    the sizes of the trailing ones and of A."""
+    """The image of phi for every budget, less its values: each element of
+    [s] goes to the leading blocks (naturally ordered, any leaders), the
+    trailing blocks (min-led, increasing) or A (min-led, decreasing).  A
+    frame (blocks, A, zeros, parts, base) stands for the value vectors
+    zeros + c, c a composition of q - base into the trailing and A blocks,
+    for every budget q >= base; base is the weight of the leading blocks
+    plus the sizes of the trailing ones and of A."""
     frames = []
-    for blocks in all_ordered_chain_forests(range(1, s + 1)):
-        kk = len(blocks)
-        min_led = [_is_min_led(b) for b in blocks]
-        leaders = [b[0] for b in blocks]
-        p_max = 0
-        while p_max < kk and min_led[kk - 1 - p_max] and \
-                (p_max == 0 or leaders[kk - 1 - p_max] > leaders[kk - p_max]):
-            p_max += 1
-        prefix_natural = [True] * (kk + 1)
-        for i in range(1, kk + 1):
-            prefix_natural[i] = prefix_natural[i - 1] and \
-                (i < 2 or leaders[i - 2] < leaders[i - 1])
-        for p in range(p_max + 1):
-            r = kk - p
-            bpart, cpart = blocks[:r], blocks[r:]
-            aset = frozenset(x for b in cpart for x in b)
-            j_max = 0
-            while j_max < r and min_led[r - 1 - j_max] and \
-                    (j_max == 0 or leaders[r - 1 - j_max] < leaders[r - j_max]):
-                j_max += 1
-            for j in range(j_max + 1):
-                if not prefix_natural[r - j]:
-                    continue
-                base = sum(block_weight(b) for b in bpart[:r - j]) + \
-                    sum(len(b) for b in bpart[r - j:]) + len(aset)
-                frames.append((blocks, aset, (0,) * (r - j), j + p, base))
+    for roles in product(range(3), repeat=s):
+        lead, trail, a = ([e for e, role in enumerate(roles, 1) if role == part]
+                          for part in range(3))
+        aset = frozenset(a)
+        tails = [t + c[::-1] for t, _ in _led_partitions(trail, trail)
+                 for c, _ in _led_partitions(a, a)]
+        for weight, led, *_ in _cf_skeletons(lead):
+            zeros, base = (0,) * len(led), weight + len(trail) + len(a)
+            for tail in tails:
+                frames += [(blocks, aset, zeros, len(tail), base)
+                           for blocks in _orders(led + tail)]
     return tuple(frames)
 
 

@@ -352,6 +352,17 @@ class TestImageCheck:
                     assert image_check(d, q)
                 assert from_constructor == {phi(d) for d in forests.iter_dcf(q, s)}
 
+    def test_run_phi_fails_a_candidate_given_twice(self, monkeypatch):
+        from panehr import campaigns, processing
+
+        candidates = list(enumerate_image_candidates(1, 2))
+        monkeypatch.setattr(processing, "enumerate_image_candidates",
+                            lambda q, s: iter(candidates + candidates[:1]))
+        bijection, complete = campaigns.run_phi(2, 1)
+        assert bijection.ok and not complete.ok
+        assert complete.actual == \
+            f"{len(candidates)} images, diff 1 {format_distinguished(candidates[0])}"
+
     @pytest.mark.parametrize("q", range(4))
     def test_run_phi_on_the_empty_ground_set(self, q):
         from panehr import campaigns
@@ -967,17 +978,29 @@ class TestAgainstReferenceChecks:
                                 assert outcome(reconstruct_state, valued, q1) == \
                                     outcome(reference_reconstruct, valued, q1), (valued, q1)
 
-    def test_image_candidates_keep_their_order(self):
+    def test_image_candidates_equal_reference_multiset(self):
+        # the order is free, as run_phi only tests membership, but every
+        # candidate must come exactly as often as in the reference
+        from collections import Counter
+
         from panehr import processing
 
+        grid = [(s, q) for s in range(0, 5) for q in range(0, 7)] + \
+            [(5, q) for q in range(0, 5)]
         processing._image_frames.cache_clear()
         for attempt in ("cold", "cached"):
-            for s in range(0, 5):
-                for q in range(0, 7):
-                    assert list(enumerate_image_candidates(q, s)) == \
-                        list(reference_image_candidates(q, s)), (attempt, s, q)
+            for s, q in grid:
+                assert Counter(enumerate_image_candidates(q, s)) == \
+                    Counter(reference_image_candidates(q, s)), (attempt, s, q)
         info = processing._image_frames.cache_info()
         assert info.hits > 0 and info.maxsize is not None  # the frame cache is bounded
+
+    def test_processing_does_not_bind_the_brute_force_reference(self):
+        # the reference candidates come from all_ordered_chain_forests, so
+        # the code they check must not build its frames from it
+        from panehr import processing
+
+        assert not hasattr(processing, "all_ordered_chain_forests")
 
 
 # Rows of run_phi and run_involution over the enumerate benchmark's grid
