@@ -11,6 +11,10 @@ parts: each (name, value) parameter pair is one cached tuple per process
 (`_param`), and a row whose actual text equals its expected text holds
 that one string twice.  Pickling a chunk of rows back from a worker
 writes a shared pair once.  The rows and their text are unchanged.
+
+A runner imports forests and processing when it runs and needs them:
+the registry and the unit functions use neither, so building the CLI
+parser or running a closed-form campaign loads neither module.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, starmap
 from typing import Callable, Iterator, NamedTuple
 
-from . import ehrhart, forests, oracle, processing
+from . import ehrhart, oracle
 from .exactmath import Polynomial, binomial, poly_leq
 
 
@@ -104,6 +108,8 @@ def _classes(s: int) -> Iterator[tuple[int, int, int]]:
 
 
 def run_identity_main(s: int, max_q: int) -> list[Row]:
+    from . import forests
+
     _, refined = forests.cf_census(s)
     rows = []
     for q in range(max_q + 1):
@@ -116,6 +122,8 @@ def run_identity_main(s: int, max_q: int) -> list[Row]:
 
 
 def run_identity_lah(s: int, max_q: int) -> list[Row]:
+    from . import forests
+
     totals, refined = forests.cf_census(s)
     rows = []
     for q in range(max_q + 1):
@@ -134,6 +142,8 @@ def run_identity_lah(s: int, max_q: int) -> list[Row]:
 
 
 def run_identity_upper(s: int, max_q: int) -> list[Row]:
+    from . import forests
+
     census = forests.cf1_census(s + 1)
     rows = []
     for q in range(max_q + 1):
@@ -148,6 +158,8 @@ def run_identity_upper(s: int, max_q: int) -> list[Row]:
 
 
 def run_per_term(s: int, q: int) -> list[Row]:
+    from . import forests
+
     rows = []
     # the leader-1 census of [s+1] keys each class one step up in i, k and m,
     # and up is also the summand's shift: the sides compare with the terms
@@ -174,7 +186,11 @@ def run_phi(s: int, q: int) -> list[Row]:
     block length sequence and the A part, and that the constructively
     enumerated image candidates are hit exactly.
     """
+    from . import forests, processing
+
     rows = []
+    # the images in stream order; a preimage is found again only to name
+    # it in a collision message, so none is kept
     images: dict = {}
     count = 0
     problems = []
@@ -182,10 +198,11 @@ def run_phi(s: int, q: int) -> list[Row]:
         count += 1
         img = processing.phi(d)
         if img in images:
+            earlier = next(e for e in forests.iter_dcf(q, s) if processing.phi(e) == img)
             problems.append(f"collision: {forests.format_distinguished(d)} and "
-                            f"{forests.format_distinguished(images[img])}")
+                            f"{forests.format_distinguished(earlier)}")
             continue
-        images[img] = d
+        images[img] = None
         if tuple(map(len, img.blocks)) != tuple(map(len, d.blocks)):
             problems.append(f"length sequence changed: {forests.format_distinguished(d)}")
         if img.aset != d.aset:
@@ -204,8 +221,9 @@ def run_phi(s: int, q: int) -> list[Row]:
     n_images = len(images)
     # each candidate pops the image it hits, so a candidate given twice
     # misses the second time; the images left over were never hit
+    missed = object()
     mismatch = [d for d in processing.enumerate_image_candidates(q, s)
-                if images.pop(d, None) is None]
+                if images.pop(d, missed) is missed]
     mismatch.extend(images)
     sample = forests.format_distinguished(mismatch[0]) if mismatch else ""
     rows.append(_bool_row({"s": s, "q": q, "check": "image-complete"},
@@ -235,6 +253,8 @@ def run_involution(s: int, q: int) -> list[Row]:
     side, class preservation, and per-class cardinality matches, which
     together force the alternating sum to collapse onto the plain count.
     """
+    from . import forests, processing
+
     minus = 0
     problems: list[str] = []
     # an image is on the plus side when it is a streamed forest that

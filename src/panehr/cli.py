@@ -11,6 +11,8 @@ rejects a --max-* bound its campaign does not take.
 and reuses it, so it can be called many times in one process (each call
 parses into a new namespace).  Importing this module builds nothing, and
 help text is still wrapped to the terminal width at the time it prints.
+Nor does it load forests or processing: enumerate imports forests when it
+runs, and verify loads them through the campaign runners that use them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__, cache, campaigns, ehrhart, forests, oracle
+from . import __version__, cache, campaigns, ehrhart, oracle
 from .exactmath import poly_to_json
 
 
@@ -185,16 +187,20 @@ def _write_csv(handle, rows) -> None:
                         + [row.expected, row.actual, "ok" if row.ok else "FAIL"])
 
 
-# kind: (required query flags, enumerator taking q, s, k, ell, m, line format)
+# kind: (required query flags, the forests enumerator taking q, s, k, ell,
+# m, the forests line format); names, so only enumerate loads forests
 KINDS = {
-    "forests": (("q", "s", "k"), forests.enumerate_cf, forests.format_forest),
-    "dcf": (("q", "s", "k", "ell", "m"), forests.enumerate_dcf, forests.format_distinguished),
-    "cf1": (("q", "s", "k", "ell", "m"), forests.enumerate_cf1, forests.format_forest),
+    "forests": (("q", "s", "k"), "enumerate_cf", "format_forest"),
+    "dcf": (("q", "s", "k", "ell", "m"), "enumerate_dcf", "format_distinguished"),
+    "cf1": (("q", "s", "k", "ell", "m"), "enumerate_cf1", "format_forest"),
 }
 
 
 def cmd_enumerate(args) -> int:
-    flags, enumerate_kind, line = KINDS[args.kind]
+    from . import forests
+
+    flags, enumerator, formatter = KINDS[args.kind]
+    enumerate_kind, line = getattr(forests, enumerator), getattr(forests, formatter)
     try:
         _need(args, *flags)
         items = enumerate_kind(args.q, args.s, args.k, args.ell, args.m)

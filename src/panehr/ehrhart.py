@@ -31,7 +31,15 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .exactmath import ZERO, Polynomial, binomial, interpolate, poly_leq
-from .forests import upper_expression  # re-exported; defined in forests
+
+
+def __getattr__(name: str):
+    # upper_expression is defined in forests and still read from here; it
+    # resolves on first access, so computing a closed form loads no forests
+    if name == "upper_expression":
+        from .forests import upper_expression
+        return upper_expression
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def validate_panhandle(r: int, s: int, n: int) -> None:

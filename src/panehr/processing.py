@@ -167,14 +167,13 @@ class _Run:
         return run
 
     @classmethod
-    def at_split(cls, valued: Valued, j: int) -> "_Run":
+    def at_split(cls, blocks: Forest, values, j: int) -> "_Run":
         """The snapshot whose last j blocks are processed completely: P is
         the weight contributors plus the elements of those blocks, and L is
         canonical."""
-        blocks = valued.blocks
         processed = [x for b in blocks[:len(blocks) - j] for x in b if x < b[0]]
         processed += [x for b in blocks[len(blocks) - j:] for x in b]
-        return cls(blocks, valued.values, processed)
+        return cls(blocks, values, processed)
 
     def blocks(self) -> Forest:
         elems = self.elems
@@ -331,11 +330,6 @@ def run_processing(valued: Valued, collect: bool = False
     return run.snapshot(), trail or []
 
 
-def _split_parts(d: Distinguished, split: int) -> tuple[Valued, Valued]:
-    return (Valued(d.blocks[:split], d.values[:split]),
-            Valued(d.blocks[split:], d.values[split:]))
-
-
 def _phi(d: Distinguished, split: int) -> tuple[Distinguished, int]:
     """phi of a checked d whose A blocks start at split, and the image's
     split index j: the number of trailing non-A blocks processed fully."""
@@ -368,8 +362,8 @@ def trace_line(state: AlgorithmState) -> str:
 
 def phi_trace(d: Distinguished) -> list[str]:
     """Per-iteration log of the run on the non-A part of d."""
-    nondist, _ = _split_parts(d, check_distinguished(d))
-    _, trail = run_processing(nondist, collect=True)
+    split = check_distinguished(d)
+    _, trail = run_processing(Valued(d.blocks[:split], d.values[:split]), collect=True)
     return [trace_line(st) for st in trail]
 
 
@@ -401,7 +395,7 @@ def _reconstruct(valued: Valued, q1: int) -> _Run:
         raise ReverseError(f"no split index balances the budget {q1}")
     if not all(_is_min_led(b) for b in blocks[r - j:]):
         raise ReverseError("a trailing all-processed block has nonzero weight")
-    run = _Run.at_split(valued, j)
+    run = _Run.at_split(blocks, values, j)
     if j < r and blocks[r - j - 1] and run.all_done(r - j - 1):
         raise ReverseError("split index inconsistent with the processed set")
     return run
@@ -526,14 +520,19 @@ def phi_inverse(d: Distinguished, q: int) -> Distinguished:
     verdict = image_check(d, q)
     if not verdict:
         raise ValueError(f"not in the image of phi: {verdict.reason}")
-    nondist, dist = _split_parts(d, len(d.blocks) - distinguished_block_count(d))
-    q1 = q - len(d.aset) - sum(dist.values)
+    blocks, values, aset = d
+    # image_check has checked that the A blocks trail, so they are the
+    # blocks from the last back while the leader is in A
+    split = len(blocks)
+    while split and blocks[split - 1][0] in aset:
+        split -= 1
+    q1 = q - len(aset) - sum(values[split:])
     # image_check found the split index and checked the trailing blocks
-    run = _Run.at_split(nondist, verdict.j)
+    run = _Run.at_split(blocks[:split], values[:split], verdict.j)
     while run.stack:
         run.unstep(q1)
-    return Distinguished(run.blocks() + dist.blocks,
-                         tuple(run.values) + dist.values, d.aset)
+    return Distinguished(run.blocks() + blocks[split:],
+                         tuple(run.values) + values[split:], aset)
 
 
 def enumerate_image_candidates(q: int, s: int) -> Iterator[Distinguished]:

@@ -78,3 +78,21 @@ def test_rows_match_the_golden_digest():
     assert len(lines) == 12598
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_ROWS_SHA256
 
+
+
+def test_run_phi_names_both_forests_of_a_collision(monkeypatch):
+    # run_phi keeps no preimages: it walks the stream again to name the
+    # earlier forest, and the rows read as when it kept them
+    from panehr import forests, processing
+
+    stream = list(forests.iter_dcf(1, 2))
+    first, second = stream[1], stream[4]
+    phi = processing.phi
+    monkeypatch.setattr(processing, "phi",
+                        lambda d: phi(first) if d == second else phi(d))
+    assert [row.describe() for row in campaigns.run_phi(2, 1)] == [
+        "FAIL s=2 q=1 check=bijection expected=5 forests map injectively and "
+        "round-trip actual=collision: [1][2]|A={2} and [1][2]^1|A={}",
+        "FAIL s=2 q=1 check=image-complete expected=4 accepted candidates all hit "
+        "actual=4 images, diff 1 [1][2]|A={2}",
+    ]

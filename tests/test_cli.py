@@ -673,6 +673,30 @@ print(json.dumps(sorted(set(sys.modules) - before)))
     assert not added & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
 
 
+def test_compute_loads_no_forests_or_processing():
+    # the package resolves its names on first access, and only enumerate,
+    # verify and the campaign runners load the chain-forest modules
+    script = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("panehr."))
+import panehr
+alone = loaded()
+import panehr.cli
+imported = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = panehr.cli.main(["compute", "panhandle", "--r", "1", "--s", "1",
+                            "--n", "2", "--no-cache"])
+print(json.dumps([alone, imported, code, out.getvalue(), loaded()]))
+"""
+    alone, imported, code, out, computed = json.loads(_python("-c", script).stdout)
+    assert alone == []
+    assert "panehr.cli" in imported
+    assert (code, out) == (0, "t + 1\n")
+    for modules in (imported, computed):
+        assert not {"panehr.forests", "panehr.processing"} & set(modules)
+
+
 def test_module_entry_point_prints_what_main_prints(capsys):
     argv = ["compute", "panhandle", "--r", "2", "--s", "3", "--n", "5", "--json",
             "--no-cache"]

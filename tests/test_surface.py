@@ -4,6 +4,7 @@ and the record types."""
 import argparse
 import concurrent.futures
 import pickle
+import sys
 
 import pytest
 
@@ -42,6 +43,21 @@ def test_all_exports():
         "count_points_panhandle", "count_points_paving", "interpolate",
     ]
     assert all(hasattr(panehr, name) for name in panehr.__all__)
+
+
+def test_exports_resolve_to_their_defining_modules():
+    for name in panehr.__all__:
+        value = getattr(panehr, name)
+        assert value.__module__.startswith("panehr."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert panehr.upper_expression is panehr.forests.upper_expression
+    assert panehr.interpolate is panehr.exactmath.interpolate
+    assert set(panehr.__all__) <= set(dir(panehr))
+    namespace = {}
+    exec("from panehr import *", namespace)
+    assert all(namespace[name] is getattr(panehr, name) for name in panehr.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        panehr.no_such_name
 
 
 def test_cli_family_choices():
