@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, cache, campaigns, ehrhart, oracle
-from .exactmath import poly_to_json
+from .exactmath import poly_from_json, poly_to_json
 
 
 def _err(msg: str) -> None:
@@ -94,24 +94,31 @@ def _need(args, *names) -> None:
 
 
 def cmd_compute(args) -> int:
+    """Print one closed form.  The command works on its coefficient
+    strings: a miss computes the polynomial and turns it into strings once,
+    for the cache entry and the output; a hit prints the stored strings
+    with --json, and builds the polynomial from them only to print it
+    pretty.  Either way stdout is the same."""
     cache_dir = args.cache_dir or cache.default_cache_dir()
+    poly = None
     try:
         call, params = _family_call(args.family, args)
-        poly = None if args.no_cache else cache.load(cache_dir, args.family, params)
-        if poly is not None:
+        coeffs = None if args.no_cache else cache.load(cache_dir, args.family, params)
+        if coeffs is not None:
             print(f"panehr: cache hit for {cache.cache_key(args.family, params)}",
                   file=sys.stderr)
         else:
             poly = getattr(ehrhart, FAMILIES[args.family].compute)(*call)
+            coeffs = poly_to_json(poly)
             if not args.no_cache:
-                cache.store(cache_dir, args.family, params, poly_to_json(poly))
+                cache.store(cache_dir, args.family, params, coeffs)
     except ValueError as exc:
         _err(str(exc))
         return 2
     if args.json:
-        print(json.dumps(poly_to_json(poly), separators=(",", ":")))
+        print(json.dumps(coeffs, separators=(",", ":")))
     else:
-        print(str(poly))
+        print(poly if poly is not None else poly_from_json(coeffs))
     return 0
 
 

@@ -142,7 +142,7 @@ class TestCache:
 
         def vanished(path, *args, **kwargs):
             raise FileNotFoundError(2, "No such file or directory", str(path))
-        monkeypatch.setattr(Path, "read_text", vanished)
+        monkeypatch.setattr(cache.os, "open", vanished)
         assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
         assert capsys.readouterr().err == ""
 
@@ -163,10 +163,22 @@ class TestCache:
     def test_failed_encoding_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("not serialisable")
-        monkeypatch.setattr(cache.json, "dump", broken)
+        monkeypatch.setattr(cache.json, "dumps", broken)
         with pytest.raises(TypeError):
             cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
         assert list(tmp_path.iterdir()) == []
+
+    def test_short_writes_still_store_the_whole_entry(self, tmp_path, monkeypatch):
+        # the entry is the bytes json.dump writes, however few of them each
+        # write takes
+        real_write = os.write
+        monkeypatch.setattr(cache.os, "write", lambda fd, data: real_write(fd, data[:3]))
+        cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "3/2", "1/2"])
+        key = cache.cache_key("panhandle", self.PARAMS)
+        written = cache._entry_path(tmp_path, key).read_text()
+        assert written == '{"key": "%s", "coefficients": ["1", "3/2", "1/2"]}' % key
+        monkeypatch.undo()
+        assert cache.load(tmp_path, "panhandle", self.PARAMS) == ["1", "3/2", "1/2"]
 
     def test_store_under_a_file_warns_about_the_directory(self, capsys, tmp_path):
         not_a_dir = tmp_path / "file"
@@ -182,16 +194,16 @@ class TestCache:
 
         def denied(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))
-        monkeypatch.setattr(Path, "read_text", denied)
+        monkeypatch.setattr(cache.os, "open", denied)
         assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
         assert "ignoring corrupt entry" in capsys.readouterr().err
 
-    def test_load_returns_the_polynomial(self, tmp_path):
+    def test_load_returns_the_stored_coefficients(self, tmp_path):
         from panehr import poly_to_json
 
         poly = ehr_paving(2, 4, [2])
         cache.store(tmp_path, "paving", {"r": 2, "n": 4}, poly_to_json(poly))
-        assert cache.load(tmp_path, "paving", {"r": 2, "n": 4}) == poly
+        assert cache.load(tmp_path, "paving", {"r": 2, "n": 4}) == poly_to_json(poly)
 
     def test_version_in_key(self, tmp_path):
         key = cache.cache_key("panhandle", {"r": 1, "s": 1, "n": 2})
@@ -249,6 +261,110 @@ class TestCache:
         assert code == 0 and "cache hit" in err
         assert warm == cold
         assert entry.read_bytes() == written
+
+    def test_clear_and_stats_skip_a_directory_named_like_an_entry(self, capsys,
+                                                                  tmp_path):
+        from panehr import __version__
+
+        run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
+        entry = next(tmp_path.glob("*.json"))
+        named_like_one = tmp_path / f"panhandle_n5_r2_s2__v{__version__}.json"
+        named_like_one.mkdir()
+        code, out, err = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
+        assert code == 0 and err == ""
+        assert out == f"entries: 1\nbytes: {entry.stat().st_size}\n"
+        code, out, err = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+        assert code == 0 and out == "removed: 1\n" and err == ""
+        assert list(tmp_path.iterdir()) == [named_like_one]
+
+
+# one request of each compute family; the first three have fractional
+# coefficients, phi and psi integral ones
+FAMILY_ARGS = [
+    ("panhandle", "--r", "2", "--s", "3", "--n", "6"),
+    ("paving", "--r", "2", "--n", "5", "--hyperplane-sizes", "3"),
+    ("hypersimplex", "--r", "2", "--n", "5"),
+    ("phi", "--r", "2", "--s", "3", "--n", "6"),
+    ("psi", "--r", "2", "--s", "4", "--n", "7"),
+]
+
+
+class TestHitText:
+    """A hit prints the stored coefficient strings, so its stdout must be
+    what a fresh computation prints, and a stored string that is not
+    exactly a reduced fraction must be recomputed, not printed."""
+
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "pretty"])
+    @pytest.mark.parametrize("argv", FAMILY_ARGS, ids=[a[0] for a in FAMILY_ARGS])
+    def test_a_hit_prints_what_a_fresh_compute_prints(self, capsys, tmp_path, argv,
+                                                      mode):
+        code, fresh, _ = run(capsys, "compute", *argv, *mode, "--no-cache")
+        assert code == 0 and ("/" in fresh) == (argv[0] not in ("phi", "psi"))
+        code, miss, err = run(capsys, "compute", *argv, *mode, "--cache-dir", str(tmp_path))
+        assert code == 0 and "cache hit" not in err and miss == fresh
+        code, hit, err = run(capsys, "compute", *argv, *mode, "--cache-dir", str(tmp_path))
+        assert code == 0 and "cache hit" in err and err.count("\n") == 1
+        assert hit == fresh
+
+    @pytest.mark.parametrize("text", ["2/4", "-0", "+1", " 1", "0/3", "1_0", "1.5", "01"])
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "pretty"])
+    def test_an_unreduced_coefficient_is_recomputed(self, capsys, tmp_path, text, mode):
+        argv = ("compute", *FAMILY_ARGS[0], *mode)
+        code, fresh, _ = run(capsys, *argv, "--no-cache")
+        run(capsys, *argv, "--cache-dir", str(tmp_path))
+        entry = next(tmp_path.glob("*.json"))
+        payload = json.loads(entry.read_text())
+        payload["coefficients"][0] = text
+        entry.write_text(json.dumps(payload))
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == fresh
+        assert "ignoring corrupt entry" in err and repr(text) in err
+        assert "cache hit" not in err
+        # the recomputation rewrote the entry, so the next run hits
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == fresh and "cache hit" in err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_the_cache_leaks_no_descriptor(capsys, tmp_path, monkeypatch):
+    params = {"r": 2, "s": 2, "n": 4}
+    argv = ("compute", "panhandle", "--r", "2", "--s", "2", "--n", "4", "--json")
+    key = cache.cache_key("panhandle", params)
+    corrupt = tmp_path / "corrupt"
+    corrupt.mkdir()
+    directory = tmp_path / "directory"
+    cache._entry_path(directory, key).mkdir(parents=True)
+
+    def full(fd, data):
+        raise OSError(28, "No space left on device")
+
+    def exercise():
+        for _ in range(3):
+            cache.clear(tmp_path / "hits")
+            for hit in (False, True):  # a miss that stores the entry, then a hit
+                _, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path / "hits"))
+                assert ("cache hit" in err) == hit
+            assert cache.load(tmp_path / "absent", "panhandle", params) is None
+            cache._entry_path(corrupt, key).write_text('{"key": "%s", '
+                                                       '"coefficients": ["2/4"]}' % key)
+            run(capsys, *argv, "--cache-dir", str(corrupt))
+            cache._entry_path(corrupt, key).write_text("{not json")
+            assert cache.load(corrupt, "panhandle", params) is None
+            assert cache.load(directory, "panhandle", params) is None
+            cache.store(directory, "panhandle", params, ["1", "1"])
+            with monkeypatch.context() as patch:
+                patch.setattr(cache.os, "write", full)
+                cache.store(tmp_path / "full", "panhandle", params, ["1", "1"])
+        err = capsys.readouterr().err
+        assert "could not write entry" in err and "No space left" in err
+        assert "ignoring corrupt entry" in err
+
+    exercise()  # first calls may open what stays open, e.g. a lazy import
+    before = sorted(os.listdir("/proc/self/fd"))
+    exercise()
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert list((tmp_path / "full").iterdir()) == []
+    assert [p.name for p in directory.iterdir()] == [cache._entry_path(directory, key).name]
 
 
 class TestEnumerate:
