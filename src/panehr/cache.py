@@ -22,6 +22,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -47,9 +48,12 @@ def cache_key(family: str, params: dict) -> str:
 _ENTRY_GLOB = "*__v*.json"
 
 
+# a key character outside these is written "-" in its entry file name
+_UNSAFE = re.compile(r"[^0-9A-Za-z._-]")
+
+
 def _entry_path(cache_dir: Path, key: str) -> Path:
-    safe = "".join(c if c.isalnum() or c in "._-" else "-" for c in key)
-    return cache_dir / f"{safe}.json"
+    return cache_dir / f"{_UNSAFE.sub('-', key)}.json"
 
 
 def _warn(msg: str) -> None:

@@ -10,6 +10,11 @@ forms of ehrhart are built with it: each formula is evaluated at
 t = 0, 1, ... with int arithmetic (binomial takes negative upper
 arguments, as a binomial polynomial in t does) and interpolated once.
 The lattice-point oracle turns its counts into polynomials with it too.
+Samples at consecutive integers, which every caller in the package
+gives, are interpolated as integer dot products: their forward
+differences against the Newton basis expanded over the common
+denominator degree!, whose integer columns are built once per first
+sample and degree and kept in a bounded cache (_newton_columns).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -224,9 +231,10 @@ def interpolate(samples: Sequence[tuple[Scalar, Scalar]], degree: int) -> Polyno
     Needs at least degree+1 distinct sample points; any extra samples must
     lie on the interpolating polynomial, otherwise the data was not
     produced by a polynomial of that degree and a ValueError is raised.
-    Samples at consecutive integers go through integer forward
-    differences; any other points through Newton divided differences over
-    exact rationals.
+    Samples at consecutive integers go through forward differences, each
+    coefficient one dot product with a cached integer column of the
+    degree!-scaled Newton basis for that first sample and degree; any
+    other points through Newton divided differences over exact rationals.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -266,22 +274,32 @@ def _interpolate_consecutive(x0: Scalar, ys: Sequence[Scalar], degree: int) -> P
     row = list(ys)
     for _ in range(degree + 1):
         diffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = list(map(sub, row[1:], row))
     for j, excess in enumerate(row):
         if excess:
             # the samples before this one lie on the interpolant
             raise _mismatch(degree, x0 + j + degree + 1)
     scale = math.factorial(degree)
-    numer = [0] * (degree + 1)
+    return Polynomial(Fraction(sum(map(mul, diffs[i:], column)), scale)
+                      for i, column in enumerate(_newton_columns(x0, degree)))
+
+
+# one (x0, degree) pair per closed form or oracle call site, and a column
+# set at degree 119 holds 0.75 MB, so a few dozen are kept
+@lru_cache(maxsize=32)
+def _newton_columns(x0: Scalar, degree: int) -> tuple[tuple[Scalar, ...], ...]:
+    """Column i holds the t^i coefficients of the scaled Newton basis
+    degree!/k! * (t - x0)(t - x0 - 1)...(t - x0 - k + 1) for k = i..degree,
+    so the t^i numerator of _interpolate_consecutive is the dot product of
+    column i with the differences of order i and above."""
+    scale = math.factorial(degree)
+    rows = []
     basis = [1]  # (t - x0)(t - x0 - 1)...(t - x0 - k + 1), ascending in t
-    for k, d in enumerate(diffs):
-        weight = d * (scale // math.factorial(k))
-        for i, b in enumerate(basis):
-            numer[i] += weight * b
-        root = x0 + k
-        basis = [-root * basis[0]] + [basis[i - 1] - root * basis[i]
-                                      for i in range(1, len(basis))] + [basis[-1]]
-    return Polynomial(Fraction(c, scale) for c in numer)
+    for k in range(degree + 1):
+        rows.append(list(map(mul, basis, repeat(scale // math.factorial(k)))))
+        # times (t - x0 - k): shift up one degree, less x0 + k times itself
+        basis = list(map(sub, [0, *basis], [*map(mul, basis, repeat(x0 + k)), 0]))
+    return tuple(tuple(row[i] for row in rows[i:]) for i in range(degree + 1))
 
 
 def _mismatch(degree: int, x: Scalar) -> ValueError:

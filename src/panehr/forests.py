@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations, product, starmap
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import attrgetter
 from typing import (Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
@@ -380,27 +380,29 @@ def _led_partitions(elements: Sequence[int], keep: Collection[int] = ()
     each block's other elements, so all leader choices of one partition
     share that product.
     """
-    elems = list(elements)
-    blocks: list[list[int]] = []
+    return _partitions_from(list(elements), [], 0, keep)
 
-    def rec(idx: int) -> Iterator[tuple[tuple[_Led, ...], int]]:
-        if idx == len(elems):
-            orders = prod(factorial(len(b) - 1) for b in blocks)
-            choices = [[(b[0], b, 0)] if b[0] in keep
-                       else [(x, b, w) for w, x in enumerate(b)] for b in map(tuple, blocks)]
-            for led in product(*choices):
-                yield led, orders
-            return
-        e = elems[idx]
-        for b in blocks:
-            b.append(e)
-            yield from rec(idx + 1)
-            b.pop()
-        blocks.append([e])
-        yield from rec(idx + 1)
-        blocks.pop()
 
-    yield from rec(0)
+def _partitions_from(elems: list[int], blocks: list[list[int]], idx: int,
+                     keep: Collection[int]) -> Iterator[tuple[tuple[_Led, ...], int]]:
+    """_led_partitions with elems[:idx] already placed in blocks: elems[idx]
+    joins each block in turn, then opens a block of its own.  A plain
+    recursive function, so a walk leaves no reference cycle behind."""
+    if idx == len(elems):
+        orders = prod(factorial(len(b) - 1) for b in blocks)
+        choices = [[(b[0], b, 0)] if b[0] in keep
+                   else [(x, b, w) for w, x in enumerate(b)] for b in map(tuple, blocks)]
+        for led in product(*choices):
+            yield led, orders
+        return
+    e = elems[idx]
+    for b in blocks:
+        b.append(e)
+        yield from _partitions_from(elems, blocks, idx + 1, keep)
+        b.pop()
+    blocks.append([e])
+    yield from _partitions_from(elems, blocks, idx + 1, keep)
+    blocks.pop()
 
 
 def _orders(led: Sequence[_Led]) -> Iterator[Forest]:
@@ -453,6 +455,14 @@ def _value_vectors(budget: int, parts: int, k: int) -> tuple[tuple[int, ...], ..
     return tuple(values + (0,) * (k - parts) for values in compositions(budget, parts))
 
 
+def _value_vector_count(budget: int, parts: int) -> int:
+    """len(_value_vectors(budget, parts, k)) for any k, counted: the weak
+    compositions of the budget into parts, none when no part takes it."""
+    if parts == 0:
+        return 1 if budget == 0 else 0
+    return comb(budget + parts - 1, parts - 1)
+
+
 def _dcf_skeletons(q: int, s: int, need_one: bool = False) -> Iterator[_Skeleton]:
     """The skeletons of the valued A-distinguished forests of [s] with
     |A| + sum(values) = q, keyed by |A|: every block is led by its
@@ -474,8 +484,7 @@ def _dcf_skeletons(q: int, s: int, need_one: bool = False) -> Iterator[_Skeleton
                 for cled, corders in cparts:
                     led = bled + cled
                     parts = len(led) - shift
-                    # no values fit when the budget is left with no block
-                    values = len(_value_vectors(q - i, parts, len(led)))
+                    values = _value_vector_count(q - i, parts)
                     if values:
                         yield (i, led, (-1) ** (len(cled) - shift),
                                borders * corders * values, afro, parts, q - i)

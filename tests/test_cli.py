@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from panehr import cache, campaigns
-from panehr.cli import VERIFY_BOUNDS, build_parser, main
+from panehr.cli import VERIFY_BOUNDS, _family_call, build_parser, main
 from panehr.ehrhart import ehr_paving
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -151,6 +151,25 @@ class TestCache:
         cache._entry_path(tmp_path, key).mkdir()
         assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
         assert "ignoring corrupt entry" in capsys.readouterr().err
+
+    def test_entry_names_keep_their_per_character_form(self, tmp_path):
+        # the keys of a compute grid at n = 12, as compute forms them: every
+        # panhandle and psi, every hypersimplex, and a three-cut paving
+        # family per r, whose sizes join with "+"
+        n = 12
+        argvs = [[family, "--r", str(r), "--s", str(s)] for family in ("panhandle", "psi")
+                 for s in range(1, n) for r in range(1, s + 1)]
+        argvs += [["hypersimplex", "--r", str(r)] for r in range(1, n)]
+        argvs += [["paving", "--r", str(r), "--hyperplane-sizes",
+                   *(str(min(r + j, n - 1)) for j in range(3))] for r in range(1, n)]
+        keys = []
+        for argv in argvs:
+            args = build_parser().parse_args(["compute", *argv, "--n", str(n)])
+            keys.append(cache.cache_key(args.family, _family_call(args.family, args)[1]))
+        assert len(set(keys)) == 154 and sum("+" in key for key in keys) == 11
+        for key in keys:
+            safe = "".join(c if c.isalnum() or c in "._-" else "-" for c in key)
+            assert cache._entry_path(tmp_path, key) == tmp_path / f"{safe}.json"
 
     def test_failed_store_leaves_no_temporary_file(self, capsys, tmp_path):
         key = cache.cache_key("panhandle", self.PARAMS)

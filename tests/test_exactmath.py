@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panehr import ehrhart, exactmath
 from panehr.exactmath import (
     Polynomial,
     binom_poly,
@@ -206,7 +207,8 @@ def test_evaluation_is_ring_morphism(p, q, t):
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys, st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=2))
+@given(st.lists(small_fractions, max_size=31).map(Polynomial),
+       st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=2))
 def test_interpolate_paths_agree(p, x0, extra):
     # consecutive samples take the forward-difference path, every other
     # point set the divided-difference path
@@ -215,6 +217,29 @@ def test_interpolate_paths_agree(p, x0, extra):
     assert interpolate([(x, poly_eval(p, x)) for x in xs], degree) == p
     spread = [x0 + 2 * k for k in range(degree + 1 + extra)]
     assert interpolate([(x, poly_eval(p, x)) for x in spread], degree) == p
+
+
+@pytest.mark.parametrize("row", [ehrhart._panhandle_row(5, 9, 24, 0),
+                                 ehrhart._hypersimplex_row(3, 120)], ids=["degree-23", "degree-119"])
+def test_integer_rows_agree_with_divided_differences(row):
+    # dropping the sample at t = 1 sends the rest down the
+    # divided-difference path, which shares no code with the cached columns
+    degree = len(row) - 2
+    poly = interpolate(list(enumerate(row)), degree)
+    assert poly.degree == degree
+    assert poly == interpolate([(t, y) for t, y in enumerate(row) if t != 1], degree)
+    off = list(enumerate(row))
+    off[-1] = (degree + 1, row[-1] + 1)
+    with pytest.raises(ValueError, match=f"degree {degree}: mismatch at t={degree + 1}$"):
+        interpolate(off, degree)
+
+
+def test_newton_columns_are_bounded():
+    assert exactmath._newton_columns.cache_info().maxsize is not None
+    for degree in range(exactmath._newton_columns.cache_info().maxsize + 5):
+        interpolate([(t, t ** degree) for t in range(degree + 1)], degree)
+    info = exactmath._newton_columns.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("xs", [range(-2, 4), [-3, -1, 0, 1, 2, 4]], ids=["consecutive", "spread"])

@@ -1,5 +1,6 @@
 """Unit tests for the forest data model, enumerators, and closed forms."""
 
+import gc
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -338,6 +339,31 @@ class TestFamilies:
                                     assert sum((-1) ** (forests.distinguished_block_count(d)
                                                         - shift) for d in listed) == \
                                         signed_sum(q, s, k, ell, m, i)
+
+
+def test_partition_walk_leaves_no_reference_cycle():
+    # a walk's generators must be freed by reference counting alone, with
+    # nothing left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        walked = sum(1 for _ in forests._led_partitions(range(1, 6)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # the set partitions of [5] with one leader per block
+    assert walked == 196
+
+
+def test_dcf_walk_counts_value_vectors_without_building_them():
+    for budget in range(5):
+        for parts in range(5):
+            assert forests._value_vector_count(budget, parts) == \
+                len(forests._value_vectors(budget, parts, parts + 1))
+    before = forests._value_vectors.cache_info()
+    for need_one in (False, True):
+        assert sum(1 for _ in forests._dcf_skeletons(4, 4, need_one))
+    assert forests._value_vectors.cache_info() == before
 
 
 FAMILIES = {"cf": forests._CF, "cf1": forests._CF1,
