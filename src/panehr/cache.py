@@ -13,7 +13,9 @@ every other file or directory in the cache directory alone.  A read is
 one open, reads to the end and a close; a write encodes the entry first,
 then writes it to a temporary file that an atomic rename puts in place,
 and a failed write removes its temporary file.  Unreadable or unwritable
-caches degrade to plain recomputation with a warning on stderr.
+caches degrade to plain recomputation with a warning on stderr.  `load`
+and `store` take the entry's key, so a request builds it once, with
+`cache_key`.
 """
 
 from __future__ import annotations
@@ -87,13 +89,12 @@ def _is_reduced_fraction(text: str) -> bool:
     return d >= 2 and str(n) == num and str(d) == den and math.gcd(n, d) == 1
 
 
-def load(cache_dir: Path, family: str, params: dict) -> Optional[list[str]]:
-    """Return the cached coefficient strings, ascending by degree, as
-    `poly_to_json` wrote them, or None on a miss or a corrupt entry.  A
-    missing entry (or cache directory) is a silent miss; an entry that
-    cannot be read or parsed, or whose coefficients are not reduced
-    fractions with a nonzero leading one, warns."""
-    key = cache_key(family, params)
+def load(cache_dir: Path, key: str) -> Optional[list[str]]:
+    """Return the coefficient strings cached under key (a `cache_key`),
+    ascending by degree, as `poly_to_json` wrote them, or None on a miss or
+    a corrupt entry.  A missing entry (or cache directory) is a silent
+    miss; an entry that cannot be read or parsed, or whose coefficients
+    are not reduced fractions with a nonzero leading one, warns."""
     path = _entry_path(cache_dir, key)
     try:
         payload = json.loads(_read(path))
@@ -120,12 +121,11 @@ def load(cache_dir: Path, family: str, params: dict) -> Optional[list[str]]:
         return None
 
 
-def store(cache_dir: Path, family: str, params: dict, coeffs: list[str]) -> None:
-    """Write an entry atomically: encode it, write it to a temporary file
-    in the cache directory (made only if it is missing) and rename that
-    onto the entry.  On failure, warn naming the error, remove the
-    temporary file and continue without the cache."""
-    key = cache_key(family, params)
+def store(cache_dir: Path, key: str, coeffs: list[str]) -> None:
+    """Write the entry for key (a `cache_key`) atomically: encode it, write
+    it to a temporary file in the cache directory (made only if it is
+    missing) and rename that onto the entry.  On failure, warn naming the
+    error, remove the temporary file and continue without the cache."""
     path = _entry_path(cache_dir, key)
     data = json.dumps({"key": key, "coefficients": coeffs}).encode()
     try:

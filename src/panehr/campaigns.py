@@ -162,9 +162,9 @@ def run_per_term(s: int, q: int) -> list[Row]:
 
     rows = []
     # the leader-1 census of [s+1] keys each class one step up in i, k and m,
-    # and up is also the summand's shift: the sides compare with the terms
-    # of dcf_term_formula (shift 0) and upper_term_formula (shift 1), whose
-    # query check runs here once per class, not once per i
+    # and up is also the summand's shift: the sides compare with the
+    # summands of shift 0 (the refined form) and shift 1 (the upper bound),
+    # whose query check runs here once per class, not once per i
     for side, census, up in (("plain", forests.dcf_signed_census(q, s), 0),
                              ("leader1", forests.dcf1_signed_census(q + 1, s + 1), 1)):
         for k, ell, m in _classes(s):

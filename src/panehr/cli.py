@@ -7,10 +7,16 @@ is deterministic given --no-color; timing goes to stderr.  Only compute
 and cache take --cache-dir, only compute takes --no-cache, and verify
 rejects a --max-* bound its campaign does not take.
 
-`main` builds its argparse parser once per process, on its first call,
-and reuses it, so it can be called many times in one process (each call
-parses into a new namespace).  Importing this module builds nothing, and
-help text is still wrapped to the terminal width at the time it prints.
+`main` reads a canonical compute argv directly: "compute <family>" and
+then only compute's long options, each spelled in full and given once,
+its integers in ASCII decimal digits.  It builds the namespace argparse
+would build, and no parser.  argparse parses every other argv (help,
+abbreviations, "--opt=value", "--", every other command) and writes
+every usage, help and error message.  The parser is built once per
+process, on the first argv that needs it, and reused, so `main` can be
+called many times in one process (each call parses into a new
+namespace).  Importing this module builds nothing, and help text is
+still wrapped to the terminal width at the time it prints.
 Nor does it load forests or processing: enumerate imports forests when it
 runs, and verify loads them through the campaign runners that use them.
 """
@@ -25,7 +31,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__, cache, campaigns, ehrhart, oracle
 from .exactmath import poly_from_json, poly_to_json
@@ -103,15 +109,15 @@ def cmd_compute(args) -> int:
     poly = None
     try:
         call, params = _family_call(args.family, args)
-        coeffs = None if args.no_cache else cache.load(cache_dir, args.family, params)
+        key = None if args.no_cache else cache.cache_key(args.family, params)
+        coeffs = None if key is None else cache.load(cache_dir, key)
         if coeffs is not None:
-            print(f"panehr: cache hit for {cache.cache_key(args.family, params)}",
-                  file=sys.stderr)
+            print(f"panehr: cache hit for {key}", file=sys.stderr)
         else:
             poly = getattr(ehrhart, FAMILIES[args.family].compute)(*call)
             coeffs = poly_to_json(poly)
-            if not args.no_cache:
-                cache.store(cache_dir, args.family, params, coeffs)
+            if key is not None:
+                cache.store(cache_dir, key, coeffs)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -120,6 +126,44 @@ def cmd_compute(args) -> int:
     else:
         print(poly if poly is not None else poly_from_json(coeffs))
     return 0
+
+
+class Option(NamedTuple):
+    """A long option of compute, as the parser declares it and as
+    _read_compute reads it."""
+
+    dest: str
+    kind: str                           # "int", "ints" (one or more), "path" or "flag"
+    help: Optional[str] = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
+
+_KIND_ARGUMENTS = {
+    "int": {"type": int},
+    "ints": {"type": int, "nargs": "+"},
+    "path": {"type": Path, "default": None},
+    "flag": {"action": "store_true"},
+}
+
+# compute's options in the order its help lists them; cache also takes
+# --cache-dir, and verify, enumerate, oracle count and cache take --no-color
+COMPUTE_OPTIONS = (
+    Option("r", "int"),
+    Option("s", "int"),
+    Option("n", "int"),
+    Option("hyperplane_sizes", "ints", "stressed hyperplane sizes for the paving family"),
+    Option("json", "flag", "print the coefficient array instead of pretty text"),
+    Option("cache_dir", "path",
+           "cache directory (default: PANEHR_CACHE_DIR or ~/.cache/panehr)"),
+    Option("no_cache", "flag", "bypass the result cache entirely"),
+    Option("no_color", "flag", "never emit ANSI color codes"),
+)
+_COMPUTE_FLAGS = {option.flag: option for option in COMPUTE_OPTIONS}
+_COMPUTE_DEFAULTS = {option.dest: False if option.kind == "flag" else None
+                     for option in COMPUTE_OPTIONS}
 
 
 VERIFY_BOUNDS = ("max_s", "max_q", "max_n", "max_paving_n")
@@ -283,13 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="evaluate one closed-form polynomial")
     p_compute.add_argument("family", choices=COMPUTE_FAMILIES)
-    p_compute.add_argument("--r", type=int)
-    p_compute.add_argument("--s", type=int)
-    p_compute.add_argument("--n", type=int)
-    p_compute.add_argument("--hyperplane-sizes", type=int, nargs="+",
-                           help="stressed hyperplane sizes for the paving family")
-    p_compute.add_argument("--json", action="store_true",
-                           help="print the coefficient array instead of pretty text")
+    for option in COMPUTE_OPTIONS:
+        _add_option(p_compute, option)
     p_compute.set_defaults(func=cmd_compute)
 
     width = max(map(len, campaigns.CAMPAIGNS))
@@ -332,20 +371,81 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("action", choices=("clear", "stats"))
     p_cache.set_defaults(func=cmd_cache)
 
-    for command in (p_compute, p_cache):
-        command.add_argument("--cache-dir", type=Path, default=None,
-                             help="cache directory (default: PANEHR_CACHE_DIR or ~/.cache/panehr)")
-    p_compute.add_argument("--no-cache", action="store_true",
-                           help="bypass the result cache entirely")
-    for command in (p_compute, p_verify, p_enum, p_count, p_cache):
-        command.add_argument("--no-color", action="store_true",
-                             help="never emit ANSI color codes")
+    _add_option(p_cache, _COMPUTE_FLAGS["--cache-dir"])
+    for command in (p_verify, p_enum, p_count, p_cache):
+        _add_option(command, _COMPUTE_FLAGS["--no-color"])
 
     return parser
 
 
+def _add_option(parser: argparse.ArgumentParser, option: Option) -> None:
+    parser.add_argument(option.flag, help=option.help, **_KIND_ARGUMENTS[option.kind])
+
+
+def _read_int(token: str) -> Optional[int]:
+    """The int that ASCII decimal digits spell, or None for any other token."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+def _read_compute(argv: list) -> Optional[argparse.Namespace]:
+    """The namespace argparse builds for a canonical compute argv, or None.
+
+    Canonical is "compute <family>" and then compute's options, each spelled
+    in full and given at most once: an integer option takes ASCII decimal
+    digits, --hyperplane-sizes one or more of them, and --cache-dir a
+    nonempty value that does not start with "-".  Every other argv,
+    however argparse would read it, is None.  This only splits tokens: the
+    command checks the values as it does after argparse."""
+    if (len(argv) < 2 or argv[0] != "compute"
+            or not all(isinstance(token, str) for token in argv)
+            or argv[1] not in FAMILIES):
+        return None
+    values = dict(_COMPUTE_DEFAULTS)
+    seen = set()
+    pos = 2
+    while pos < len(argv):
+        option = _COMPUTE_FLAGS.get(argv[pos])
+        if option is None or option in seen:
+            return None
+        seen.add(option)
+        pos += 1
+        if option.kind == "flag":
+            value = True
+        elif option.kind == "path":
+            if pos == len(argv) or not argv[pos] or argv[pos].startswith("-"):
+                return None
+            value = Path(argv[pos])
+            pos += 1
+        elif option.kind == "int":
+            if pos == len(argv) or (value := _read_int(argv[pos])) is None:
+                return None
+            pos += 1
+        else:
+            value = []
+            while pos < len(argv) and (number := _read_int(argv[pos])) is not None:
+                value.append(number)
+                pos += 1
+            if not value:
+                return None
+        values[option.dest] = value
+    return argparse.Namespace(command="compute", family=argv[1], func=cmd_compute,
+                              **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.  A canonical compute argv
+    (see _read_compute) is read directly, without building the parser;
+    argparse parses every other argv and writes every usage, help and
+    error message."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_compute(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     return args.func(args)
 
 

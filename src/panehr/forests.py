@@ -26,10 +26,10 @@ count by (head, lengths) and expands each distinct bucket into its
 (k, ell, m) cells once, no object visited, and an exhaustive enumerator
 expands only the skeletons in the query's cell, by that rule (tally_gamma).
 The skeleton counts use factorials and composition counts only, nothing
-of the closed forms.  The brute-force generator all_ordered_chain_forests
-(every permutation cut into blocks) shares no code with the walk: no
-production code calls it, and the tests check the streams and the image
-candidates of processing against it.
+of the closed forms.  The tests keep a brute-force generator (every
+permutation cut into blocks, all_ordered_chain_forests in
+tests/forest_reference.py) that shares no code with the walk, and check
+the streams and the image candidates of processing against it.
 
 The enumerators and the closed forms own the rules of a query
 (q, s, k, ell, m), with the |A| slice i of the per-term side, and share
@@ -114,43 +114,8 @@ def flatten(blocks: Forest) -> tuple[int, ...]:
     return tuple(x for b in blocks for x in b)
 
 
-def check_partition(blocks: Forest, s: int) -> None:
-    """Raise ValueError unless the blocks partition {1, ..., s} exactly."""
-    seen = flatten(blocks)
-    if sorted(seen) != list(range(1, s + 1)):
-        raise ValueError(f"blocks do not partition [1..{s}]: {blocks}")
-    if any(len(b) == 0 for b in blocks):
-        raise ValueError("empty block")
-
-
 def _canonical_key(blocks: Forest) -> tuple:
     return (flatten(blocks), tuple(len(b) for b in blocks))
-
-
-# ---------------------------------------------------------------------------
-# enumerators
-
-def naturally_ordered_forests(elements: Sequence[int]) -> Iterator[Forest]:
-    """All naturally ordered chain forests over the given elements."""
-    return _expand(_cf_skeletons(sorted(elements)))
-
-
-def all_ordered_chain_forests(elements: Sequence[int]) -> Iterator[Forest]:
-    """Every ordered chain forest: all block orders, all internal orders.
-
-    Brute-force generator (permutation times cut set), exponential: only
-    the tests call it, as the reference for streams and image candidates.
-    """
-    elems = tuple(elements)
-    n = len(elems)
-    if not n:  # the empty ground set has one forest, with no blocks
-        yield ()
-        return
-    for perm in permutations(elems):
-        for mask in range(1 << (n - 1)):
-            cuts = [i for i in range(1, n) if mask >> (i - 1) & 1]
-            bounds = [0] + cuts + [n]
-            yield tuple(perm[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +180,6 @@ def upper_expression(q: int, s: int, k: int, ell: int, m: int) -> int:
     upper bound; equals the count of the shifted leader-1 forests."""
     _check_query(q, s, k, ell, m)
     return sum(_summand(q, s, k, ell, m, i, 1) for i in range(q + 1))
-
-
-def dcf_term_formula(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
-    """The i-th summand of the refined closed form, signs included."""
-    _check_query(q, s, k, ell, m, i=i)
-    return _summand(q, s, k, ell, m, i, 0)
-
-
-def upper_term_formula(q: int, s: int, k: int, ell: int, m: int, i: int) -> int:
-    """The i-th summand of the shifted (upper bound) expression."""
-    _check_query(q, s, k, ell, m, i=i)
-    return _summand(q, s, k, ell, m, i, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +457,8 @@ class _Family(NamedTuple):
 
     The census tallies the skeletons' heads, lengths, signs and counts and
     the enumerator expands only the skeletons in the query's cell, neither
-    reading an object.  all_ordered_chain_forests, which shares no code
-    with the walk, is the independent reference for the expanded objects,
+    reading an object.  The tests' brute-force generator, which shares no
+    code with the walk, is the independent reference for the expanded objects,
     and the per-object blocks, head and sign are the reference for the
     census and the enumerators' skeleton filter."""
 

@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from panehr import cache, campaigns
-from panehr.cli import VERIFY_BOUNDS, _family_call, build_parser, main
+from panehr.cli import (COMPUTE_OPTIONS, FAMILIES, VERIFY_BOUNDS, _family_call, _read_compute,
+                        build_parser, main)
 from panehr.ehrhart import ehr_paving
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -20,6 +23,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def compute_grid_argvs(n=12):
+    """The compute argvs of a grid at n: every panhandle and psi, every
+    hypersimplex, and a three-cut paving family per r."""
+    argvs = [[family, "--r", str(r), "--s", str(s)] for family in ("panhandle", "psi")
+             for s in range(1, n) for r in range(1, s + 1)]
+    argvs += [["hypersimplex", "--r", str(r)] for r in range(1, n)]
+    argvs += [["paving", "--r", str(r), "--hyperplane-sizes",
+               *(str(min(r + j, n - 1)) for j in range(3))] for r in range(1, n)]
+    return [["compute", *argv, "--n", str(n)] for argv in argvs]
 
 
 class TestCompute:
@@ -105,6 +119,20 @@ class TestCache:
         assert code == 0 and "cache hit" in err
         assert first == second
 
+    def test_a_request_builds_its_key_once(self, capsys, tmp_path, monkeypatch):
+        built = []
+        cache_key = cache.cache_key
+
+        def counting_key(family, params):
+            built.append(family)
+            return cache_key(family, params)
+        monkeypatch.setattr(cache, "cache_key", counting_key)
+        for hit in (False, True):  # a miss that stores the entry, then a hit
+            built.clear()
+            code, _, err = run(capsys, *self.ARGS, "--cache-dir", str(tmp_path))
+            assert code == 0 and ("cache hit" in err) == hit
+            assert built == ["panhandle"]
+
     def test_no_cache_bypasses(self, capsys, tmp_path):
         run(capsys, *self.ARGS, "--cache-dir", str(tmp_path), "--no-cache")
         assert list(tmp_path.glob("*.json")) == []
@@ -128,43 +156,38 @@ class TestCache:
         assert "corrupt" in err
 
     PARAMS = {"r": 2, "s": 2, "n": 4}
+    KEY = cache.cache_key("panhandle", PARAMS)
 
     def test_missing_entry_is_a_silent_miss(self, capsys, tmp_path):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
         for cache_dir in (tmp_path, tmp_path / "absent", not_a_dir):
-            assert cache.load(cache_dir, "panhandle", self.PARAMS) is None
+            assert cache.load(cache_dir, self.KEY) is None
         assert capsys.readouterr().err == ""
 
     def test_entry_vanishing_before_the_read_is_a_silent_miss(self, capsys, tmp_path,
                                                               monkeypatch):
-        cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
+        cache.store(tmp_path, self.KEY, ["1", "1"])
 
         def vanished(path, *args, **kwargs):
             raise FileNotFoundError(2, "No such file or directory", str(path))
         monkeypatch.setattr(cache.os, "open", vanished)
-        assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
+        assert cache.load(tmp_path, self.KEY) is None
         assert capsys.readouterr().err == ""
 
     def test_directory_at_the_entry_path_warns(self, capsys, tmp_path):
         key = cache.cache_key("panhandle", self.PARAMS)
         cache._entry_path(tmp_path, key).mkdir()
-        assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
+        assert cache.load(tmp_path, self.KEY) is None
         assert "ignoring corrupt entry" in capsys.readouterr().err
 
     def test_entry_names_keep_their_per_character_form(self, tmp_path):
         # the keys of a compute grid at n = 12, as compute forms them: every
         # panhandle and psi, every hypersimplex, and a three-cut paving
         # family per r, whose sizes join with "+"
-        n = 12
-        argvs = [[family, "--r", str(r), "--s", str(s)] for family in ("panhandle", "psi")
-                 for s in range(1, n) for r in range(1, s + 1)]
-        argvs += [["hypersimplex", "--r", str(r)] for r in range(1, n)]
-        argvs += [["paving", "--r", str(r), "--hyperplane-sizes",
-                   *(str(min(r + j, n - 1)) for j in range(3))] for r in range(1, n)]
         keys = []
-        for argv in argvs:
-            args = build_parser().parse_args(["compute", *argv, "--n", str(n)])
+        for argv in compute_grid_argvs():
+            args = build_parser().parse_args(argv)
             keys.append(cache.cache_key(args.family, _family_call(args.family, args)[1]))
         assert len(set(keys)) == 154 and sum("+" in key for key in keys) == 11
         for key in keys:
@@ -174,7 +197,7 @@ class TestCache:
     def test_failed_store_leaves_no_temporary_file(self, capsys, tmp_path):
         key = cache.cache_key("panhandle", self.PARAMS)
         cache._entry_path(tmp_path, key).mkdir()
-        cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
+        cache.store(tmp_path, self.KEY, ["1", "1"])
         err = capsys.readouterr().err
         assert "could not write entry" in err and "directory not writable" not in err
         assert list(tmp_path.glob("*.tmp")) == []
@@ -184,7 +207,7 @@ class TestCache:
             raise TypeError("not serialisable")
         monkeypatch.setattr(cache.json, "dumps", broken)
         with pytest.raises(TypeError):
-            cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
+            cache.store(tmp_path, self.KEY, ["1", "1"])
         assert list(tmp_path.iterdir()) == []
 
     def test_short_writes_still_store_the_whole_entry(self, tmp_path, monkeypatch):
@@ -192,37 +215,38 @@ class TestCache:
         # write takes
         real_write = os.write
         monkeypatch.setattr(cache.os, "write", lambda fd, data: real_write(fd, data[:3]))
-        cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "3/2", "1/2"])
+        cache.store(tmp_path, self.KEY, ["1", "3/2", "1/2"])
         key = cache.cache_key("panhandle", self.PARAMS)
         written = cache._entry_path(tmp_path, key).read_text()
         assert written == '{"key": "%s", "coefficients": ["1", "3/2", "1/2"]}' % key
         monkeypatch.undo()
-        assert cache.load(tmp_path, "panhandle", self.PARAMS) == ["1", "3/2", "1/2"]
+        assert cache.load(tmp_path, self.KEY) == ["1", "3/2", "1/2"]
 
     def test_store_under_a_file_warns_about_the_directory(self, capsys, tmp_path):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
-        cache.store(not_a_dir, "panhandle", self.PARAMS, ["1", "1"])
+        cache.store(not_a_dir, self.KEY, ["1", "1"])
         assert "cache directory not writable" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_unreadable_entry_warns(self, capsys, tmp_path, monkeypatch):
         # a permission check cannot stop a privileged user, so the read fails
         # the way an unreadable file makes it fail
-        cache.store(tmp_path, "panhandle", self.PARAMS, ["1", "1"])
+        cache.store(tmp_path, self.KEY, ["1", "1"])
 
         def denied(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))
         monkeypatch.setattr(cache.os, "open", denied)
-        assert cache.load(tmp_path, "panhandle", self.PARAMS) is None
+        assert cache.load(tmp_path, self.KEY) is None
         assert "ignoring corrupt entry" in capsys.readouterr().err
 
     def test_load_returns_the_stored_coefficients(self, tmp_path):
         from panehr import poly_to_json
 
         poly = ehr_paving(2, 4, [2])
-        cache.store(tmp_path, "paving", {"r": 2, "n": 4}, poly_to_json(poly))
-        assert cache.load(tmp_path, "paving", {"r": 2, "n": 4}) == poly_to_json(poly)
+        key = cache.cache_key("paving", {"r": 2, "n": 4})
+        cache.store(tmp_path, key, poly_to_json(poly))
+        assert cache.load(tmp_path, key) == poly_to_json(poly)
 
     def test_version_in_key(self, tmp_path):
         key = cache.cache_key("panhandle", {"r": 1, "s": 1, "n": 2})
@@ -363,17 +387,17 @@ def test_the_cache_leaks_no_descriptor(capsys, tmp_path, monkeypatch):
             for hit in (False, True):  # a miss that stores the entry, then a hit
                 _, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path / "hits"))
                 assert ("cache hit" in err) == hit
-            assert cache.load(tmp_path / "absent", "panhandle", params) is None
+            assert cache.load(tmp_path / "absent", key) is None
             cache._entry_path(corrupt, key).write_text('{"key": "%s", '
                                                        '"coefficients": ["2/4"]}' % key)
             run(capsys, *argv, "--cache-dir", str(corrupt))
             cache._entry_path(corrupt, key).write_text("{not json")
-            assert cache.load(corrupt, "panhandle", params) is None
-            assert cache.load(directory, "panhandle", params) is None
-            cache.store(directory, "panhandle", params, ["1", "1"])
+            assert cache.load(corrupt, key) is None
+            assert cache.load(directory, key) is None
+            cache.store(directory, key, ["1", "1"])
             with monkeypatch.context() as patch:
                 patch.setattr(cache.os, "write", full)
-                cache.store(tmp_path / "full", "panhandle", params, ["1", "1"])
+                cache.store(tmp_path / "full", key, ["1", "1"])
         err = capsys.readouterr().err
         assert "could not write entry" in err and "No space left" in err
         assert "ignoring corrupt entry" in err
@@ -779,6 +803,114 @@ class TestOneParser:
             assert texts[columns] == _invoke(capsys, _fresh_parser_main, argv)[1]
         assert texts["40"] != texts["160"]
         assert len(texts["40"].splitlines()) > len(texts["160"].splitlines())
+
+
+# spellings the direct reader leaves to argparse where an option or an
+# integer stands: an abbreviation, "=", help, "--", a sign, "_", a
+# non-ASCII digit, a negative number, ""
+TRICKY = ("--r=3", "--hyper", "-h", "--", "+3", "1_0", "\uff13", "-3", "")
+
+
+def _compute_argvs():
+    """compute argvs of well-formed option chunks mixed with tricky tokens,
+    repeated options and stray integers."""
+    number = st.integers(0, 20).map(str)
+    values = {"int": st.lists(number, min_size=1, max_size=1),
+              "ints": st.lists(number, min_size=1, max_size=3),
+              "path": st.sampled_from((["D"], ["a b"], ["compute"], ["+3"])),
+              "flag": st.just([])}
+    chunk = st.one_of(
+        *(values[option.kind].map(lambda tail, flag=option.flag: [flag, *tail])
+          for option in COMPUTE_OPTIONS),
+        st.tuples(st.sampled_from([option.flag for option in COMPUTE_OPTIONS]),
+                  st.sampled_from(TRICKY + ("3",))).map(list),
+        st.sampled_from(TRICKY + ("3",)).map(lambda token: [token]))
+    family = st.sampled_from(tuple(FAMILIES) + ("nosuch",))
+    return st.tuples(family, st.lists(chunk, max_size=6)).map(
+        lambda drawn: ["compute", drawn[0], *(token for part in drawn[1] for token in part)])
+
+
+class TestDirectReader:
+    """main reads a canonical compute argv itself; argparse reads the rest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_compute_argvs())
+    @example(["compute", "paving", "--r", "2", "--n", "4", "--hyperplane-sizes", "3", "3",
+              "--json", "--cache-dir", "D", "--no-cache", "--no-color"])
+    @example(["compute", "psi", "--n", "007", "--s", "0", "--r", "12"])
+    def test_an_accepted_argv_reads_as_argparse_reads_it(self, argv):
+        read = _read_compute(argv)
+        flags = {option.flag for option in COMPUTE_OPTIONS}
+        if any(not token or token.startswith("-") and token not in flags for token in argv):
+            assert read is None
+        if read is not None:
+            assert vars(read) == vars(build_parser.__wrapped__().parse_args(argv))
+
+    def test_the_compute_grid_takes_the_direct_path(self):
+        for argv in compute_grid_argvs():
+            argv += ["--json", "--cache-dir", "D"]
+            read = _read_compute(argv)
+            assert read is not None, argv
+            assert vars(read) == vars(build_parser().parse_args(argv))
+
+    BASE = ["compute", "panhandle", "--r", "1", "--s", "1", "--n", "2"]
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "panhandle", "--r=1", "--s", "1", "--n", "2", "--no-cache"],
+        BASE + ["--no-cach"],
+        ["compute", "paving", "--r", "2", "--n", "4", "--hyper", "3", "--no-cache"],
+        ["compute", "-h"],
+        BASE + ["--help"],
+        ["--version"],
+        ["compute", "panhandle", "--r", "1", "--", "--s", "1", "--n", "2"],
+        ["compute", "panhandle", "--r", "+1", "--s", "1", "--n", "2", "--no-cache"],
+        ["compute", "panhandle", "--r", "1_0", "--s", "1", "--n", "2", "--no-cache"],
+        ["compute", "panhandle", "--r", "\uff11", "--s", "1", "--n", "2", "--no-cache"],
+        ["compute", "panhandle", "--r", "-1", "--s", "1", "--n", "2", "--no-cache"],
+        BASE + ["--cache-dir", "", "--no-cache"],
+        BASE + ["--cache-dir", "-d", "--no-cache"],
+        BASE + ["--cache-dir"],
+        BASE + ["--no-cache", "--json", "--json"],
+        BASE + ["--no-cache", "3"],
+        ["compute", "--r", "1", "--s", "1", "--n", "2", "--no-cache", "panhandle"],
+        ["compute", "paving", "--r", "2", "--n", "4", "--hyperplane-sizes", "--no-cache"],
+        ["compute", "panhandle", "--r", "1", "--s", "1", "--n"],
+        ["compute", "nosuch", "--r", "1"],
+        ["compute"],
+        ["cache", "stats", "--cache-dir", "/nonexistent"],
+    ])
+    def test_a_declined_argv_behaves_as_argparse_has_it(self, capsys, argv):
+        assert _read_compute(argv) is None
+        assert _invoke(capsys, main, argv) == _invoke(capsys, _fresh_parser_main, argv)
+
+    def test_an_integer_too_long_for_int_exits_as_argparse_has_it(self, capsys):
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        argv = ["compute", "panhandle", "--r", "1" * 5000, "--s", "1", "--n", "2",
+                "--no-cache"]
+        assert _invoke(capsys, main, argv) == _invoke(capsys, _fresh_parser_main, argv)
+
+    def test_a_fresh_canonical_compute_builds_no_parser(self, tmp_path):
+        script = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(parser, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(parser, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import panehr.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = panehr.cli.main()
+print(json.dumps([built, code, out.getvalue()]))
+"""
+        tail = ["--json", "--cache-dir", str(tmp_path)]
+        canonical = ["compute", "psi", "--r", "2", "--s", "4", "--n", "7", *tail]
+        spelled = ["compute", "psi", "--r=2", "--s", "4", "--n", "7", *tail]
+        built, code, out = json.loads(_python("-c", script, *canonical).stdout)
+        assert (built, code) == ([], 0)
+        built, code, spelled_out = json.loads(_python("-c", script, *spelled).stdout)
+        assert code == 0 and spelled_out == out
+        assert built.count("panehr") == 1
 
 
 def test_import_builds_no_parser():

@@ -6,20 +6,24 @@ from math import comb, factorial
 
 import pytest
 
+from forest_reference import (
+    all_ordered_chain_forests,
+    check_partition,
+    dcf_term_formula,
+    naturally_ordered_forests,
+    upper_term_formula,
+)
 from panehr import forests
 from panehr.cli import main
 from panehr.ehrhart import upper_expression
 from panehr.forests import (
     Distinguished,
-    all_ordered_chain_forests,
     block_weight,
     cf1_count,
     cf_count_formula,
     cf_refined_formula,
-    check_partition,
     dcf1_signed_sum,
     dcf_signed_sum,
-    dcf_term_formula,
     enumerate_cf,
     enumerate_cf1,
     enumerate_cf_refined,
@@ -31,8 +35,6 @@ from panehr.forests import (
     format_valued,
     gamma,
     is_naturally_ordered,
-    naturally_ordered_forests,
-    upper_term_formula,
 )
 
 
@@ -289,7 +291,7 @@ class TestDCF1:
                             for i in range(q + 1):
                                 assert dcf1_signed_sum(
                                     q + 1, s + 1, k + 1, ell, m + 1, i + 1) == \
-                                    forests.upper_term_formula(q, s, k, ell, m, i)
+                                    upper_term_formula(q, s, k, ell, m, i)
 
 
 class TestFamilies:

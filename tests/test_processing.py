@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forest_reference import all_ordered_chain_forests
 from panehr import forests
 from panehr.forests import Distinguished, Valued, format_distinguished, format_valued
 from panehr.processing import (
@@ -334,7 +335,7 @@ class TestImageCheck:
             for q in range(0, 3):
                 images = {phi(d) for d in forests.iter_dcf(q, s)}
                 accepted = set()
-                for blocks in forests.all_ordered_chain_forests(range(1, s + 1)):
+                for blocks in all_ordered_chain_forests(range(1, s + 1)):
                     k = len(blocks)
                     for aset in subsets:
                         for total in range(q + 1):
@@ -914,7 +915,7 @@ def reference_reconstruct(valued, q1):
 
 
 def reference_image_candidates(q, s):
-    for blocks in forests.all_ordered_chain_forests(range(1, s + 1)):
+    for blocks in all_ordered_chain_forests(range(1, s + 1)):
         kk = len(blocks)
         min_led = [b[0] == min(b) for b in blocks]
         leaders = [b[0] for b in blocks]
@@ -961,7 +962,7 @@ class TestAgainstReferenceChecks:
         for s in range(0, 4):
             subsets = [frozenset(c) for c in chain.from_iterable(
                 combinations(range(1, s + 1), size) for size in range(s + 1))]
-            for blocks in forests.all_ordered_chain_forests(range(1, s + 1)):
+            for blocks in all_ordered_chain_forests(range(1, s + 1)):
                 for aset in subsets:
                     for total in range(4):
                         for values in forests.compositions(total, len(blocks)):
