@@ -141,10 +141,18 @@ class Option(NamedTuple):
         return "--" + self.dest.replace("_", "-")
 
 
+def _nonempty_path(value: str) -> Path:
+    """A --cache-dir value: Path("") is the current directory, so an empty
+    value is a usage error rather than a cache in the working directory."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a nonempty path")
+    return Path(value)
+
+
 _KIND_ARGUMENTS = {
     "int": {"type": int},
     "ints": {"type": int, "nargs": "+"},
-    "path": {"type": Path, "default": None},
+    "path": {"type": _nonempty_path, "default": None},
     "flag": {"action": "store_true"},
 }
 

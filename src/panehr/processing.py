@@ -37,12 +37,27 @@ them on every block for the first step of a run and for process_step, and
 from the block before the target on for every later step, which is exact
 because the blocks in front of the target and their ranks do not change.
 _Run.run checks that processed count plus remaining values is conserved,
-_phi checks the block length sequence, _Run.unstep raises the four
+_run_forward checks the block length sequence, _Run.unstep raises the four
 ReverseErrors of reverse_step, and reconstruct_state the three of the
-split-index search.  Both split-index searches, in reconstruct_state and
-image_check, are one linear pass (_split_index): the balance at j = 0 is
-computed once, and each further j moves one trailing block from the
-weight sum to the sizes (plus values) sum, adding at least 1.  The shape
+split-index search.  phi, positive_side, involution_f and phi_inverse run
+the kernel through two bounded memos (_memoized), keyed by the order
+pattern of the non-A part: its blocks relabelled onto 1..k in the same
+relative order, its values, and for a reversal j and q1.  So the kernel's
+checks run once per distinct pattern, and a hit maps the stored result
+back onto the caller's elements.  That is exact because every comparison
+the kernel makes is an order comparison: elements against each other,
+against the empty stack's 0, and ranks that are x, x + size or above
+2 * size, so a run on positive ints x1 < ... < xk takes the steps, raises
+the errors and leaves the result of the run on 1..k, relabelled.  Input
+on which that fails (an element that is not a positive int, a value that
+is not an int, values that are not a tuple) runs as given, and a run that
+raises is not stored.  The traces and snapshot entry points (phi_trace,
+run_processing, process_step, reverse_step, reconstruct_state,
+reverse_trace) always run the kernel.  Both split-index searches, in
+reconstruct_state and image_check, are one linear pass (_split_index):
+the balance at j = 0 is computed once, and each further j moves one
+trailing block from the weight sum to the sizes (plus values) sum, adding
+at least 1.  The shape
 rules of a valued forest (one value per block, values nonnegative, blocks
 nonempty and disjoint) live in forests._shape_violation:
 check_distinguished raises on them, image_check rejects as condition 0,
@@ -64,7 +79,7 @@ streamed forests positive_side accepted, not by classifying it again.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Collection, Iterator, NamedTuple, Optional
 
 from .forests import (
@@ -330,19 +345,87 @@ def run_processing(valued: Valued, collect: bool = False
     return run.snapshot(), trail or []
 
 
+# The runs of phi and of its reversal, by the order pattern of the non-A
+# part: its blocks relabelled onto 1..k in the same relative order, and
+# its values (plus j and q1 for a reversal).  Each memo, and the table
+# that keeps one copy of each tuple and int they hold, is cleared when it
+# would hold more than this many entries.  verify phi then verify
+# involution at their defaults (s <= 6, q <= 4) meet 24 147 patterns per
+# direction, which add about 8 MB to the process's peak RSS; the
+# enumerate benchmark's grid (s <= 4, q <= 6) meets 1 289.
+_MEMO_BOUND = 1 << 15
+_FORWARD: dict = {}
+_BACKWARD: dict = {}
+_SHARED: dict = {}
+_INTS = frozenset({int})
+
+
+def _pattern(blocks: Forest, values, extra: tuple) -> Optional[tuple]:
+    """The memo key (the blocks relabelled onto 1..k, then values and
+    extra) and the map back: the elements in increasing order behind a 0,
+    so that order[label] is the element, or None when each label is its
+    own element.  None instead unless values is a tuple, every element a
+    positive int and every value an int: on those inputs the relabelled
+    run is exactly the run."""
+    flat = [x for b in blocks for x in b]
+    if type(values) is not tuple or not _INTS.issuperset(map(type, chain(flat, values, extra))):
+        return None
+    flat.sort()
+    if flat and flat[0] < 1:
+        return None
+    if not flat or flat[-1] == len(flat):  # k distinct positive ints up to k
+        return (*map(tuple, blocks), values, *extra), None
+    flat.insert(0, 0)
+    label = dict(zip(flat, range(len(flat)))).__getitem__
+    return (*[tuple(map(label, b)) for b in blocks], values, *extra), flat
+
+
+def _memoized(memo: dict, kernel, blocks: Forest, values, *extra) -> tuple:
+    """kernel(blocks, values, *extra), which returns the blocks it leaves
+    followed by more, on the caller's elements: run once per order
+    pattern, and as given on inputs _pattern declines.  A run that raises
+    is not stored."""
+    pattern = _pattern(blocks, values, extra)
+    if pattern is None:
+        return kernel(blocks, values, *extra)
+    key, order = pattern
+    r = len(values)
+    entry = memo.get(key)
+    if entry is None:
+        entry = kernel(key[:r], values, *extra)
+        if len(memo) >= _MEMO_BOUND:
+            memo.clear()
+        if len(_SHARED) + len(key) + len(entry) > _MEMO_BOUND:
+            _SHARED.clear()
+        share = _SHARED.setdefault
+        memo[tuple([share(x, x) for x in key])] = entry = tuple([share(x, x) for x in entry])
+    if order is None:
+        return entry
+    element = order.__getitem__
+    return (*[tuple(map(element, b)) for b in entry[:r]], *entry[r:])
+
+
+def _run_forward(blocks: Forest, values) -> tuple:
+    """The blocks and values of the kernel's fixed point on a checked
+    non-A part, then its split index j: the number of trailing blocks
+    processed fully."""
+    run = _Run(blocks, values)
+    run.run()
+    out = run.blocks()
+    if tuple(map(len, out)) != tuple(map(len, blocks)):
+        raise AssertionError("block length sequence not preserved")
+    j = 0
+    while j < len(blocks) and run.all_done(len(blocks) - 1 - j):
+        j += 1
+    return (*out, tuple(run.values), j)
+
+
 def _phi(d: Distinguished, split: int) -> tuple[Distinguished, int]:
     """phi of a checked d whose A blocks start at split, and the image's
     split index j: the number of trailing non-A blocks processed fully."""
-    run = _Run(d.blocks[:split], d.values[:split])
-    run.run()
-    result = Distinguished(run.blocks() + d.blocks[split:],
-                           tuple(run.values) + d.values[split:], d.aset)
-    if tuple(map(len, result.blocks)) != tuple(map(len, d.blocks)):
-        raise AssertionError("block length sequence not preserved")
-    j = 0
-    while j < split and run.all_done(split - 1 - j):
-        j += 1
-    return result, j
+    run = _memoized(_FORWARD, _run_forward, d.blocks[:split], d.values[:split])
+    return Distinguished(run[:split] + d.blocks[split:], run[split] + d.values[split:],
+                         d.aset), run[split + 1]
 
 
 def phi(d: Distinguished) -> Distinguished:
@@ -528,11 +611,18 @@ def phi_inverse(d: Distinguished, q: int) -> Distinguished:
         split -= 1
     q1 = q - len(aset) - sum(values[split:])
     # image_check found the split index and checked the trailing blocks
-    run = _Run.at_split(blocks[:split], values[:split], verdict.j)
+    run = _memoized(_BACKWARD, _run_backward, blocks[:split], values[:split], verdict.j, q1)
+    return Distinguished(run[:split] + blocks[split:], run[split] + values[split:], aset)
+
+
+def _run_backward(blocks: Forest, values, j: int, q1: int) -> tuple:
+    """The snapshot of a run with budget q1 whose last j blocks are
+    processed fully, reversed until no element remains processed: its
+    blocks, then its values."""
+    run = _Run.at_split(blocks, values, j)
     while run.stack:
         run.unstep(q1)
-    return Distinguished(run.blocks() + blocks[split:],
-                         tuple(run.values) + values[split:], aset)
+    return (*run.blocks(), tuple(run.values))
 
 
 def enumerate_image_candidates(q: int, s: int) -> Iterator[Distinguished]:

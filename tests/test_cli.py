@@ -267,6 +267,23 @@ class TestCache:
         code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
         assert out.startswith("entries: 0")
 
+    @pytest.mark.parametrize("spelling", [["--cache-dir", ""], ["--cache-dir="]],
+                             ids=["separate", "equals"])
+    @pytest.mark.parametrize("command", [
+        ["compute", "panhandle", "--r", "1", "--s", "1", "--n", "2"],
+        ["cache", "clear"], ["cache", "stats"]], ids=["compute", "clear", "stats"])
+    def test_empty_cache_dir_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                              command, spelling):
+        # Path("") is the current directory, which must not become a cache
+        monkeypatch.chdir(tmp_path)
+        kept = tmp_path / "panhandle_n2_r1_s1__v0.0.1.json"
+        kept.write_text("{}")
+        code, out, err = _invoke(capsys, main, [*command, *spelling])
+        assert code == 2 and out == ""
+        assert err.endswith(f"panehr {command[0]}: error: argument --cache-dir: "
+                            "expected a nonempty path\n")
+        assert list(tmp_path.iterdir()) == [kept]
+
     def test_clear_and_stats_skip_foreign_files(self, capsys, tmp_path):
         foreign = tmp_path / "package.json"
         foreign.write_text('{"name": "not a cache entry"}')

@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forest_reference import all_ordered_chain_forests
-from panehr import forests
+from panehr import forests, processing
 from panehr.forests import Distinguished, Valued, format_distinguished, format_valued
 from panehr.processing import (
     AlgorithmState,
@@ -1041,3 +1042,221 @@ def test_the_pairing_reads_its_sign_from_the_split(monkeypatch):
                     # comes from the split, and phi_inverse splits the image
                     # it inverts with one scan back from its last block
                     assert counted == [y]
+
+
+# ---------------------------------------------------------------------------
+# the order-pattern memos: phi and its reversal run once per pattern of
+# the non-A part, and a hit must return exactly what the kernel returns on
+# the caller's own elements
+
+
+def clear_memos():
+    for table in (processing._FORWARD, processing._BACKWARD, processing._SHARED):
+        table.clear()
+
+
+def memo_off():
+    """Every call runs the kernel directly on the caller's elements."""
+    return mock.patch.object(processing, "_pattern", lambda *args: None)
+
+
+def outcome_repr(fn, *args):
+    """What fn returns, by repr so that 1, 1.0 and True differ, or the type
+    and message of what it raises."""
+    try:
+        return "returned", repr(fn(*args))
+    except Exception as exc:  # the comparison is the point: any raise counts
+        return "raised", type(exc).__name__, str(exc)
+
+
+def entry_point_outcomes(d, q=None):
+    """The outcome of each memoized entry point on d, and of phi_inverse on
+    the image of d for the budget q (d's own budget by default)."""
+    q = len(d.aset) + sum(d.values) if q is None else q
+    image = outcome_repr(phi, d)
+    out = [image, outcome_repr(positive_side, d), outcome_repr(involution_f, d)]
+    if image[0] == "returned":
+        out.append(outcome_repr(phi_inverse, phi(d), q))
+    return out
+
+
+def direct_phi(d):
+    """phi of d by one _Run on d's own elements, and the split index j."""
+    split = forests.check_distinguished(d)
+    run = processing._Run(d.blocks[:split], d.values[:split])
+    run.run()
+    j = 0
+    while j < split and run.all_done(split - 1 - j):
+        j += 1
+    return Distinguished(run.blocks() + d.blocks[split:],
+                         tuple(run.values) + d.values[split:], d.aset), j
+
+
+def direct_phi_inverse(d, q):
+    """phi_inverse of d by one reversed _Run on d's own elements."""
+    split = len(d.blocks) - forests.distinguished_block_count(d)
+    q1 = q - len(d.aset) - sum(d.values[split:])
+    run = processing._Run.at_split(d.blocks[:split], d.values[:split], image_check(d, q).j)
+    while run.stack:
+        run.unstep(q1)
+    return Distinguished(run.blocks() + d.blocks[split:],
+                         tuple(run.values) + d.values[split:], d.aset)
+
+
+@st.composite
+def labelled_forests(draw, max_s=7):
+    """A forest of distinguished_forests carried onto a random set of
+    positive ints in the same relative order, so labels above s and gaps
+    are common; the forest on [s] comes with it."""
+    plain = draw(distinguished_forests(max_s))
+    s = sum(map(len, plain.blocks))
+    labels = sorted(draw(st.sets(st.integers(min_value=1, max_value=300),
+                                 min_size=s, max_size=s)))
+    new = dict(zip(range(1, s + 1), labels)).__getitem__
+    return Distinguished(tuple(tuple(map(new, b)) for b in plain.blocks), plain.values,
+                         frozenset(map(new, plain.aset))), plain
+
+
+class TestOrderPatternMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_forests())
+    def test_a_hit_is_the_direct_run(self, forests_pair):
+        d, plain = forests_pair
+        q = len(d.aset) + sum(d.values)
+        image, j = direct_phi(d)
+        assert direct_phi_inverse(image, q) == d
+        with memo_off():
+            expected = {f: entry_point_outcomes(f) for f in (d, plain)}
+        clear_memos()
+        for attempt in ("cold", "warm"):
+            assert phi(d) == image, attempt
+            assert positive_side(d) == (not negative_side(d) and (bool(d.aset) or j >= 1))
+            assert phi_inverse(image, q) == d
+            assert entry_point_outcomes(d) == expected[d], attempt
+        # the forest on [s] has the same patterns, so what d stored serves it
+        stored = len(processing._FORWARD), len(processing._BACKWARD)
+        assert entry_point_outcomes(plain) == expected[plain]
+        assert (len(processing._FORWARD), len(processing._BACKWARD)) == stored
+
+    def test_every_small_forest_agrees_with_the_direct_run(self):
+        clear_memos()
+        for s in range(0, 5):
+            for q in range(0, 4):
+                for d in forests.iter_dcf(q, s):
+                    # shifted up by 5: the same patterns on other labels
+                    shifted = Distinguished(tuple(tuple(x + 5 for x in b) for b in d.blocks),
+                                            d.values, frozenset(x + 5 for x in d.aset))
+                    for f in (d, shifted):
+                        image, _ = direct_phi(f)
+                        assert phi(f) == image
+                        assert phi_inverse(image, q) == direct_phi_inverse(image, q) == f
+
+    # input the relabelling would not preserve, which must run as given: a
+    # leader 0 is not above the empty stack's 0, -1 indexes the flags from
+    # the end, and a result carries the caller's bools and floats
+    ODD = [
+        Distinguished(((0, 1),), (2,), frozenset()),
+        Distinguished(((0,), (1, 2)), (1, 1), frozenset()),
+        Distinguished(((-1, 2),), (1,), frozenset()),
+        Distinguished(((-1,), (0, 2), (3,)), (1, 0, 1), frozenset({3})),
+        Distinguished(((True, 3), (2,)), (1, 1), frozenset()),
+        Distinguished(((True,), (3,), (2,)), (1, 0, 0), frozenset({2})),
+        Distinguished(((1.0, 3), (2,)), (1, 0), frozenset()),
+        Distinguished(((1, 3), (2,)), (1.0, 1), frozenset()),
+        Distinguished(((1, 3), (2,)), (True, 0), frozenset()),
+        Distinguished(((1,), (3,), (2,)), (2.0, 0, 0), frozenset({2})),
+        Distinguished(((1,), (2,)), (False, True), frozenset({2})),
+    ]
+
+    @pytest.mark.parametrize("d", ODD, ids=[repr(d) for d in ODD])
+    def test_odd_input_takes_the_kernel_as_given(self, d):
+        with memo_off():
+            expected = entry_point_outcomes(d)
+            expected_float_q = entry_point_outcomes(d, len(d.aset) + sum(d.values) + 0.0)
+        # warm the memos with the int forest of the same order pattern
+        clear_memos()
+        plain = sorted({x for b in d.blocks for x in b})
+        rank = {x: i for i, x in enumerate(plain, 1)}
+        twin = Distinguished(tuple(tuple(rank[x] for x in b) for b in d.blocks),
+                             tuple(map(int, d.values)), frozenset(rank[x] for x in d.aset))
+        entry_point_outcomes(twin)
+        stored = len(processing._FORWARD), len(processing._BACKWARD)
+        assert entry_point_outcomes(d) == expected
+        assert entry_point_outcomes(d, len(d.aset) + sum(d.values) + 0.0) == expected_float_q
+        assert (len(processing._FORWARD), len(processing._BACKWARD)) == stored
+
+    def test_a_zero_leader_raises_in_the_kernel(self):
+        with pytest.raises(AssertionError, match="^elements are not processed in increasing "
+                                                 "order$"):
+            phi(Distinguished(((0, 1),), (2,), frozenset()))
+
+    def test_the_memos_stay_within_their_bound(self, monkeypatch):
+        cases = [(d, q) for s in range(0, 5) for q in range(0, 4) for d in forests.iter_dcf(q, s)]
+        with memo_off():
+            expected = [(phi(d), phi_inverse(phi(d), q)) for d, q in cases]
+        monkeypatch.setattr(processing, "_MEMO_BOUND", 16)
+        clear_memos()
+        tables = (processing._FORWARD, processing._BACKWARD, processing._SHARED)
+        sizes, cleared = [0, 0, 0], set()
+        for (d, q), (image, back) in zip(cases * 2, expected * 2):
+            assert phi(d) == image
+            assert phi_inverse(image, q) == back == d
+            before, sizes = sizes, list(map(len, tables))
+            assert max(sizes) <= 16
+            cleared |= {i for i in range(3) if sizes[i] < before[i]}
+        assert cleared == {0, 1, 2}
+
+    def test_a_run_that_raises_is_not_stored(self, monkeypatch):
+        clear_memos()
+        image = phi(EXAMPLE_ONE)
+        clear_memos()
+        calls = []
+
+        def broken(run, lo):
+            calls.append(lo)
+            raise AssertionError("an unprocessed element contributes weight")
+
+        monkeypatch.setattr(processing._Run, "_check_invariants", broken)
+        minus = Distinguished(((1,), (3,), (2,)), (1, 0, 0), frozenset({2}))
+        for attempt in range(3):
+            for fn, d in ((phi, EXAMPLE_ONE), (positive_side, EXAMPLE_ONE),
+                          (involution_f, minus)):
+                with pytest.raises(AssertionError, match="contributes weight"):
+                    fn(d)
+        assert len(calls) == 9
+        assert not processing._FORWARD and not processing._SHARED
+
+        def broken_unstep(run, q1):
+            calls.append(q1)
+            raise ReverseError("snapshot does not match the stated budget")
+
+        monkeypatch.undo()
+        monkeypatch.setattr(processing._Run, "unstep", broken_unstep)
+        calls.clear()
+        for attempt in range(3):
+            with pytest.raises(ReverseError, match="stated budget"):
+                phi_inverse(image, 3)
+        assert calls == [3, 3, 3] and not processing._BACKWARD
+        monkeypatch.undo()
+        assert phi(EXAMPLE_ONE) == image and phi_inverse(image, 3) == EXAMPLE_ONE
+
+    def test_battery_rows_do_not_depend_on_the_memo(self):
+        from panehr import campaigns
+
+        bounds = {"max_s": 4, "max_q": 3}
+        clear_memos()
+        cold = {name: campaigns.run_campaign(name, bounds) for name in ("phi", "involution")}
+        assert processing._FORWARD and processing._BACKWARD
+        warm = {name: campaigns.run_campaign(name, bounds) for name in ("phi", "involution")}
+        assert cold == warm
+        script = ("import json; from panehr import campaigns; print(json.dumps("
+                  "{name: [row.describe() for row in campaigns.run_campaign(name, %r)] "
+                  "for name in ('phi', 'involution')}))" % (bounds,))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        fresh = json.loads(done.stdout)
+        assert fresh == {name: [row.describe() for row in rows] for name, rows in cold.items()}
+        assert all(row.ok for rows in cold.values() for row in rows)
