@@ -174,7 +174,9 @@ _COMPUTE_DEFAULTS = {option.dest: False if option.kind == "flag" else None
                      for option in COMPUTE_OPTIONS}
 
 
-VERIFY_BOUNDS = ("max_s", "max_q", "max_n", "max_paving_n")
+# every bound some campaign takes, in the order the registry first names it
+VERIFY_BOUNDS = tuple(dict.fromkeys(key for spec in campaigns.CAMPAIGNS.values()
+                                    for key, _ in spec.defaults))
 
 
 def cmd_verify(args) -> int:

@@ -33,15 +33,6 @@ from typing import Callable, Iterable, Sequence
 from .exactmath import ZERO, Polynomial, binomial, interpolate, poly_leq
 
 
-def __getattr__(name: str):
-    # upper_expression is defined in forests and still read from here; it
-    # resolves on first access, so computing a closed form loads no forests
-    if name == "upper_expression":
-        from .forests import upper_expression
-        return upper_expression
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def validate_panhandle(r: int, s: int, n: int) -> None:
     """Raise ValueError naming the violated invariant of (r, s, n)."""
     if not 1 <= r:

@@ -209,22 +209,33 @@ def _is_min_led(block: Block) -> bool:
     return block[0] == min(block)
 
 
+# type(x) is int, so a bool or a float is not an int here
+_INTS = frozenset({int})
+
+
 def _shape_violation(blocks: Forest, values: Sequence[int]) -> Optional[str]:
     """The first shape rule a valued forest breaks, or None: one value per
-    block, values nonnegative, blocks nonempty and disjoint."""
+    block, values ints, values nonnegative, blocks nonempty and disjoint,
+    elements positive ints."""
     if len(values) != len(blocks):
         return "one value per block required"
+    if not _INTS.issuperset(map(type, values)):
+        return "values must be ints"
     if values and min(values) < 0:
         return "values must be nonnegative"
-    if len(set().union(*blocks)) != sum(map(len, blocks)) or not all(blocks):
+    elements = set().union(*blocks)
+    if len(elements) != sum(map(len, blocks)) or not all(blocks):
         return "blocks must be nonempty and disjoint"
+    if not _INTS.issuperset(map(type, elements)) or min(elements, default=1) < 1:
+        return "elements must be positive ints"
     return None
 
 
 def _a_split(d: Distinguished) -> tuple[int, Optional[str]]:
     """Index of the first A block (len(d.blocks) if none) and the first
     violated property, or None: blocks wholly in or out of A, non-A blocks
-    first, A blocks covering A, min-led and decreasing by leader."""
+    first, A blocks covering A, min-led and decreasing by leader.  d must
+    keep the shape rules (_shape_violation)."""
     blocks, _, aset = d
     split = len(blocks)
     if not aset:  # every block is a non-A block
@@ -239,9 +250,9 @@ def _a_split(d: Distinguished) -> tuple[int, Optional[str]]:
         else:
             return split, f"block {b} mixes A and non-A elements"
     cpart = blocks[split:]
-    # every block from split on lies in A, so they cover A when their union
-    # is as large as A
-    if len(set().union(*cpart)) != len(aset):
+    # every block from split on lies in A, and the shape rule has made the
+    # blocks disjoint, so they cover A when their lengths add up to |A|
+    if sum(map(len, cpart)) != len(aset):
         return split, "A blocks do not cover A exactly"
     increasing = False
     for i, b in enumerate(cpart):

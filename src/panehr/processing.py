@@ -32,39 +32,36 @@ python -O: _Run.step raises when the leader is not minimal in the shifted
 tail and when elements are not processed in increasing order, then checks
 the four step invariants (leaders increasing along L, each leader minimal
 in its block along L, every weight contributor processed, every processed
-element a weight contributor or in an all-processed block).  It checks
-them on every block for the first step of a run and for process_step, and
-from the block before the target on for every later step, which is exact
-because the blocks in front of the target and their ranks do not change.
-_Run.run checks that processed count plus remaining values is conserved,
-_run_forward checks the block length sequence, _Run.unstep raises the four
-ReverseErrors of reverse_step, and reconstruct_state the three of the
-split-index search.  phi, positive_side, involution_f and phi_inverse run
-the kernel through two bounded memos (_memoized), keyed by the order
-pattern of the non-A part: its blocks relabelled onto 1..k in the same
-relative order, its values, and for a reversal j and q1.  So the kernel's
-checks run once per distinct pattern, and a hit maps the stored result
-back onto the caller's elements.  That is exact because every comparison
-the kernel makes is an order comparison: elements against each other,
-against the empty stack's 0, and ranks that are x, x + size or above
-2 * size, so a run on positive ints x1 < ... < xk takes the steps, raises
-the errors and leaves the result of the run on 1..k, relabelled.  Input
-on which that fails (an element that is not a positive int, a value that
-is not an int, values that are not a tuple) runs as given, and a run that
-raises is not stored.  The traces and snapshot entry points (phi_trace,
+element a weight contributor or in an all-processed block) on every
+block, after every step.  _Run.run checks that processed count plus
+remaining values is conserved, _run_forward checks the block length
+sequence, _Run.unstep raises the four ReverseErrors of reverse_step, and
+reconstruct_state the three of the split-index search.  phi,
+positive_side, involution_f and phi_inverse run the kernel through two
+bounded memos (_memoized), keyed by the order pattern of the non-A part:
+its blocks relabelled onto 1..k in the same relative order, its values,
+and for a reversal j and q1.  So the kernel's checks run once per
+distinct pattern, and a hit maps the stored result back onto the
+caller's elements.  That is exact because every comparison the kernel
+makes is an order comparison: elements against each other, against the
+empty stack's 0, and ranks that are x, x + size or above 2 * size, so a
+run on positive ints x1 < ... < xk takes the steps, raises the errors and
+leaves the result of the run on 1..k, relabelled.  A run that raises is
+not stored.  The traces and snapshot entry points (phi_trace,
 run_processing, process_step, reverse_step, reconstruct_state,
 reverse_trace) always run the kernel.  Both split-index searches, in
 reconstruct_state and image_check, are one linear pass (_split_index):
 the balance at j = 0 is computed once, and each further j moves one
 trailing block from the weight sum to the sizes (plus values) sum, adding
-at least 1.  The shape
-rules of a valued forest (one value per block, values nonnegative, blocks
-nonempty and disjoint) live in forests._shape_violation:
-check_distinguished raises on them, image_check rejects as condition 0,
-and _Run.load, _reconstruct and run_processing raise ValueError; _Run.load
-also raises ValueError when a snapshot's P is not a subset of the blocks'
-elements or its L not a permutation of them.  _phi and _Run.__init__ take
-inputs already checked.
+at least 1.  The shape rules of a valued forest (one value per block,
+values ints, values nonnegative, blocks nonempty and disjoint, elements
+positive ints) live in forests._shape_violation, so it owns the element
+and value types that the relabelling relies on: check_distinguished
+raises on them, image_check rejects as condition 0, and _Run.load,
+_reconstruct and run_processing raise ValueError; _Run.load also raises
+ValueError when a snapshot's P is not a subset of the blocks' elements or
+its L not a permutation of them.  _phi and _Run.__init__ take inputs
+already checked.
 The image candidates of a ground-set size s are built from frames
 (_image_frames), one walk of forests' partition walker per s that fixes
 each candidate's blocks, A, leading zero values, number of free values
@@ -79,7 +76,7 @@ streamed forests positive_side accepted, not by classifying it again.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from typing import Collection, Iterator, NamedTuple, Optional
 
 from .forests import (
@@ -139,12 +136,10 @@ class _Run:
     step gives its leader the next rank top, which puts it at the end of L;
     an unstep keeps the canonical rank x + size * done[x], with size =
     len(done): unprocessed elements, then processed ones, each in natural
-    order.  start is where the search for the next target begins: blocks
-    in front of a target stay ineligible for the rest of a run.  Elements
-    are positive integers, as in every forest of [s].
+    order.  Elements are positive ints, as the shape rule requires.
     """
 
-    __slots__ = ("elems", "bounds", "values", "done", "rank", "top", "stack", "start")
+    __slots__ = ("elems", "bounds", "values", "done", "rank", "top", "stack")
 
     def __init__(self, blocks: Forest, values, processed: Collection[int] = ()) -> None:
         self.elems = elems = [x for b in blocks for x in b]
@@ -162,7 +157,6 @@ class _Run:
             rank[x] += size
         self.stack = sorted(processed)
         self.top = 2 * size
-        self.start = 0
 
     @classmethod
     def load(cls, state: AlgorithmState) -> "_Run":
@@ -214,23 +208,18 @@ class _Run:
         elems[a:] = map(shift.__getitem__, elems[a:])
         return tail
 
-    def step(self, whole: bool) -> bool:
-        """Apply one iteration; False, with nothing changed, when no block
-        still has a positive value and an unprocessed element.
-
-        The step invariants are checked on every block when whole, else
-        from the block before the target on: the blocks in front of the
-        target and their ranks do not change, so they keep the invariants
-        the previous step checked."""
+    def step(self) -> bool:
+        """Apply one iteration, then check the step invariants on every
+        block; False, with nothing changed, when no block still has a
+        positive value and an unprocessed element."""
         values, bounds, elems, done = self.values, self.bounds, self.elems, self.done
-        for target in range(self.start, len(values)):
+        for target in range(len(values)):
             if values[target] > 0:
                 a, b = bounds[target]
                 if not all(map(done.__getitem__, elems[a:b])):
                     break
         else:
             return False
-        self.start = target
         leader = elems[a]
         if self._shift(a, 1)[0] != leader:
             raise AssertionError("leader is not minimal among the shifted elements")
@@ -242,18 +231,18 @@ class _Run:
         done[leader] = True
         self.rank[leader] = self.top
         self.top += 1
-        self._check_invariants(0 if whole else max(target - 1, 0))
+        self._check_invariants()
         return True
 
-    def _check_invariants(self, lo: int) -> None:
-        """The invariants that hold after every iteration, on the blocks
-        from lo on; each raises AssertionError and stays on under python -O.
+    def _check_invariants(self) -> None:
+        """The invariants that hold after every iteration, on every block;
+        each raises AssertionError and stays on under python -O.
         A block that is not all processed must have exactly its weight
         contributors (the elements below its leader) processed."""
         elems, done, rank = self.elems, self.done, self.rank
         disordered = unled = weighted = stray = False
         prev = -1
-        for a, b in self.bounds[lo:]:
+        for a, b in self.bounds:
             first = rank[elems[a]]
             if first <= prev:
                 disordered = True
@@ -291,9 +280,7 @@ class _Run:
         stack, values = self.stack, self.values
         processed = len(stack)
         budget = processed + sum(values)
-        whole = True
-        while self.step(whole):
-            whole = False
+        while self.step():
             processed += 1
             if len(stack) != processed:
                 raise AssertionError("processed count plus remaining values is not conserved")
@@ -331,7 +318,7 @@ def process_step(state: AlgorithmState) -> Optional[AlgorithmState]:
     its value is positive.  The step follows the snapshot's own order L.
     """
     run = _Run.load(state)
-    return run.snapshot() if run.step(whole=True) else None
+    return run.snapshot() if run.step() else None
 
 
 def run_processing(valued: Valued, collect: bool = False
@@ -357,22 +344,15 @@ _MEMO_BOUND = 1 << 15
 _FORWARD: dict = {}
 _BACKWARD: dict = {}
 _SHARED: dict = {}
-_INTS = frozenset({int})
 
 
-def _pattern(blocks: Forest, values, extra: tuple) -> Optional[tuple]:
+def _pattern(blocks: Forest, values, extra: tuple) -> tuple:
     """The memo key (the blocks relabelled onto 1..k, then values and
     extra) and the map back: the elements in increasing order behind a 0,
     so that order[label] is the element, or None when each label is its
-    own element.  None instead unless values is a tuple, every element a
-    positive int and every value an int: on those inputs the relabelled
-    run is exactly the run."""
-    flat = [x for b in blocks for x in b]
-    if type(values) is not tuple or not _INTS.issuperset(map(type, chain(flat, values, extra))):
-        return None
-    flat.sort()
-    if flat and flat[0] < 1:
-        return None
+    own element.  The blocks hold distinct positive ints, as the shape
+    rule requires."""
+    flat = sorted([x for b in blocks for x in b])
     if not flat or flat[-1] == len(flat):  # k distinct positive ints up to k
         return (*map(tuple, blocks), values, *extra), None
     flat.insert(0, 0)
@@ -383,12 +363,8 @@ def _pattern(blocks: Forest, values, extra: tuple) -> Optional[tuple]:
 def _memoized(memo: dict, kernel, blocks: Forest, values, *extra) -> tuple:
     """kernel(blocks, values, *extra), which returns the blocks it leaves
     followed by more, on the caller's elements: run once per order
-    pattern, and as given on inputs _pattern declines.  A run that raises
-    is not stored."""
-    pattern = _pattern(blocks, values, extra)
-    if pattern is None:
-        return kernel(blocks, values, *extra)
-    key, order = pattern
+    pattern.  A run that raises is not stored."""
+    key, order = _pattern(blocks, values, extra)
     r = len(values)
     entry = memo.get(key)
     if entry is None:

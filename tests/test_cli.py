@@ -654,12 +654,54 @@ class TestVerify:
         with pytest.raises(ValueError, match="the positivity campaign takes no --max-s"):
             campaigns.campaign_bounds("positivity", {"max_s": 3})
 
+    def test_help_text_is_pinned(self, capsys, monkeypatch):
+        # the --max-* options come from the campaign registry's defaults, in
+        # the order the registry first names each bound
+        assert VERIFY_BOUNDS == ("max_s", "max_q", "max_n", "max_paving_n")
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = _invoke(capsys, main, ["verify", "--help"])
+        assert code == 0 and out == VERIFY_HELP
+
     def test_help_describes_every_campaign(self, capsys):
         code, out, _ = _invoke(capsys, main, ["verify", "--help"])
         assert code == 0
         for name, spec in campaigns.CAMPAIGNS.items():
             assert any(line.split() == [name, *spec.description.split()]
                        for line in out.splitlines()), name
+
+
+VERIFY_HELP = """\
+usage: panehr verify [-h] [--max-s MAX_S] [--max-q MAX_Q] [--max-n MAX_N]
+                     [--max-paving-n MAX_PAVING_N] [--jobs JOBS] [--csv CSV]
+                     [--i-know-this-is-slow] [--no-color]
+                     {bounds,ehrhart-oracle,identity-lah,identity-main,identity-upper,involution,per-term,phi,positivity}
+
+positional arguments:
+  {bounds,ehrhart-oracle,identity-lah,identity-main,identity-upper,involution,per-term,phi,positivity}
+
+options:
+  -h, --help            show this help message and exit
+  --max-s MAX_S
+  --max-q MAX_Q
+  --max-n MAX_N
+  --max-paving-n MAX_PAVING_N
+  --jobs JOBS
+  --csv CSV             write per-tuple rows to this file
+  --i-know-this-is-slow
+                        allow bounds beyond the desk-scale defaults
+  --no-color            never emit ANSI color codes
+
+campaigns:
+  identity-main   refined chain-forest count vs its closed form
+  identity-lah    total chain-forest count vs its closed form, plus marginals
+  identity-upper  leader-1 forest count vs the upper-bound expression
+  per-term        signed distinguished-forest sums vs individual summands
+  phi             processing map bijectivity and image characterization
+  involution      sign-reversing pairing and cancellation
+  ehrhart-oracle  panhandle Ehrhart polynomials vs direct lattice-point counts
+  bounds          coefficientwise sandwich and paving upper bound
+  positivity      coefficient nonnegativity of the formula polynomials
+"""
 
 
 class TestOracleCommand:

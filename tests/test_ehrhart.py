@@ -23,9 +23,9 @@ from panehr.ehrhart import (
     phi_poly,
     psi_poly,
     relaxation_correction,
-    upper_expression,
     validate_panhandle,
 )
+from panehr.forests import upper_expression
 from panehr import oracle
 
 

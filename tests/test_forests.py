@@ -15,7 +15,7 @@ from forest_reference import (
 )
 from panehr import forests
 from panehr.cli import main
-from panehr.ehrhart import upper_expression
+from panehr.forests import upper_expression
 from panehr.forests import (
     Distinguished,
     block_weight,

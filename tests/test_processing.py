@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from forest_reference import all_ordered_chain_forests
 from panehr import forests, processing
-from panehr.forests import Distinguished, Valued, format_distinguished, format_valued
+from panehr.forests import (Distinguished, Valued, flatten, format_distinguished,
+                            format_valued)
 from panehr.processing import (
     AlgorithmState,
     ReverseError,
@@ -155,9 +156,16 @@ def raised_message(step, state, q1):
 OPTIMIZED_SCRIPT = """
 import json, sys
 from panehr.forests import Distinguished, Valued
-from panehr.processing import (AlgorithmState, ReverseError, image_check, phi_trace,
+from panehr.processing import (AlgorithmState, ReverseError, image_check, phi, phi_trace,
                                process_step, reverse_step, reverse_trace)
 raised = []
+rejected = []
+for d in (Distinguished(((1, 3), (2,)), (1.0, 1), frozenset()),
+          Distinguished(((0, 1),), (2,), frozenset())):
+    try:
+        rejected.append(repr(phi(d)))
+    except ValueError as exc:
+        rejected.append(str(exc))
 for state, q1, _ in TAMPERED:
     try:
         if q1 is None:
@@ -181,6 +189,7 @@ print(json.dumps({
     "malformed_image": image_check(Distinguished(((2, 1), (3,)), (0, -2), frozenset()),
                                    0).reason,
     "malformed_reverse": malformed_reverse,
+    "rejected": rejected,
 }))
 """
 
@@ -201,6 +210,7 @@ def test_invariants_survive_optimize():
     assert "\n".join(out["reverse"]) == TRACE_REVERSE
     assert out["malformed_image"] == "condition 0: values must be nonnegative"
     assert out["malformed_reverse"] == "one value per block required"
+    assert out["rejected"] == ["values must be ints", "elements must be positive ints"]
 
 
 class TestReverse:
@@ -778,18 +788,24 @@ class TestAgainstReference:
 @pytest.mark.parametrize("state,q1,message", TAMPERED,
                          ids=[message for _, _, message in TAMPERED])
 def test_tampered_snapshot_raises(state, q1, message):
-    from panehr import processing
-
     if q1 is None:
         assert raised_message(process_step, state, None) == message
         assert raised_message(reference_process_step, state, None) == message
-        # a later step of a run checks from the block before the target on,
-        # which still covers every block these snapshots break
-        assert raised_message(lambda st: processing._Run.load(st).step(whole=False),
-                              state, None) == message
     else:
         assert raised_message(reverse_step, state, q1) == message
         assert raised_message(reference_reverse_step, state, q1) == message
+
+
+def test_every_step_checks_every_block():
+    # the second step targets the last block again, and only a check of
+    # block 0, in front of the target, sees that its leader's rank is no
+    # longer below block 1's
+    run = processing._Run(((1,), (2,), (3, 4)), (0, 0, 2))
+    assert run.step()
+    run.rank[1] = run.top + 1
+    with pytest.raises(AssertionError,
+                       match="^blocks are not increasing by leader in the current order$"):
+        run.step()
 
 
 @st.composite
@@ -1057,7 +1073,8 @@ def clear_memos():
 
 def memo_off():
     """Every call runs the kernel directly on the caller's elements."""
-    return mock.patch.object(processing, "_pattern", lambda *args: None)
+    return mock.patch.object(processing, "_memoized",
+                             lambda memo, kernel, *args: kernel(*args))
 
 
 def outcome_repr(fn, *args):
@@ -1069,10 +1086,10 @@ def outcome_repr(fn, *args):
         return "raised", type(exc).__name__, str(exc)
 
 
-def entry_point_outcomes(d, q=None):
+def entry_point_outcomes(d):
     """The outcome of each memoized entry point on d, and of phi_inverse on
-    the image of d for the budget q (d's own budget by default)."""
-    q = len(d.aset) + sum(d.values) if q is None else q
+    the image of d for d's own budget q."""
+    q = len(d.aset) + sum(d.values)
     image = outcome_repr(phi, d)
     out = [image, outcome_repr(positive_side, d), outcome_repr(involution_f, d)]
     if image[0] == "returned":
@@ -1151,44 +1168,84 @@ class TestOrderPatternMemo:
                         assert phi(f) == image
                         assert phi_inverse(image, q) == direct_phi_inverse(image, q) == f
 
-    # input the relabelling would not preserve, which must run as given: a
-    # leader 0 is not above the empty stack's 0, -1 indexes the flags from
-    # the end, and a result carries the caller's bools and floats
+    # input whose elements or values are not plain ints, which the
+    # relabelling would not preserve: a leader 0 is not above the empty
+    # stack's 0, -1 indexes the flags from the end, and a run would carry
+    # the caller's bools and floats.  The shape rule rejects each one.
+    ELEMENTS, VALUES = "elements must be positive ints", "values must be ints"
     ODD = [
-        Distinguished(((0, 1),), (2,), frozenset()),
-        Distinguished(((0,), (1, 2)), (1, 1), frozenset()),
-        Distinguished(((-1, 2),), (1,), frozenset()),
-        Distinguished(((-1,), (0, 2), (3,)), (1, 0, 1), frozenset({3})),
-        Distinguished(((True, 3), (2,)), (1, 1), frozenset()),
-        Distinguished(((True,), (3,), (2,)), (1, 0, 0), frozenset({2})),
-        Distinguished(((1.0, 3), (2,)), (1, 0), frozenset()),
-        Distinguished(((1, 3), (2,)), (1.0, 1), frozenset()),
-        Distinguished(((1, 3), (2,)), (True, 0), frozenset()),
-        Distinguished(((1,), (3,), (2,)), (2.0, 0, 0), frozenset({2})),
-        Distinguished(((1,), (2,)), (False, True), frozenset({2})),
+        pytest.param(Distinguished(((0, 1),), (2,), frozenset()), ELEMENTS, id="zero-leader"),
+        pytest.param(Distinguished(((0,), (1, 2)), (1, 1), frozenset()), ELEMENTS,
+                     id="zero-block"),
+        pytest.param(Distinguished(((0,),), (0,), frozenset()), ELEMENTS, id="zero-accepted"),
+        pytest.param(Distinguished(((-1, 2),), (1,), frozenset()), ELEMENTS,
+                     id="negative-leader"),
+        pytest.param(Distinguished(((-1,), (0, 2), (3,)), (1, 0, 1), frozenset({3})), ELEMENTS,
+                     id="negative-with-a"),
+        pytest.param(Distinguished(((True, 3), (2,)), (1, 1), frozenset()), ELEMENTS,
+                     id="bool-leader"),
+        pytest.param(Distinguished(((True,), (3,), (2,)), (1, 0, 0), frozenset({2})), ELEMENTS,
+                     id="bool-block-with-a"),
+        pytest.param(Distinguished(((1.0, 3), (2,)), (1, 0), frozenset()), ELEMENTS,
+                     id="float-leader"),
+        pytest.param(Distinguished(((1, 3), (2,)), (1.0, 1), frozenset()), VALUES,
+                     id="float-value"),
+        pytest.param(Distinguished(((1,), (2,)), (0.5, 0.5), frozenset()), VALUES,
+                     id="half-values"),
+        pytest.param(Distinguished(((1, 3), (2,)), (True, 0), frozenset()), VALUES,
+                     id="bool-value"),
+        pytest.param(Distinguished(((1,), (3,), (2,)), (2.0, 0, 0), frozenset({2})), VALUES,
+                     id="float-value-with-a"),
+        pytest.param(Distinguished(((1,), (2,)), (False, True), frozenset({2})), VALUES,
+                     id="bool-values-with-a"),
     ]
 
-    @pytest.mark.parametrize("d", ODD, ids=[repr(d) for d in ODD])
-    def test_odd_input_takes_the_kernel_as_given(self, d):
-        with memo_off():
-            expected = entry_point_outcomes(d)
-            expected_float_q = entry_point_outcomes(d, len(d.aset) + sum(d.values) + 0.0)
-        # warm the memos with the int forest of the same order pattern
+    @pytest.mark.parametrize("d, rule", ODD)
+    def test_odd_input_is_rejected(self, d, rule):
         clear_memos()
-        plain = sorted({x for b in d.blocks for x in b})
-        rank = {x: i for i, x in enumerate(plain, 1)}
-        twin = Distinguished(tuple(tuple(rank[x] for x in b) for b in d.blocks),
-                             tuple(map(int, d.values)), frozenset(rank[x] for x in d.aset))
-        entry_point_outcomes(twin)
-        stored = len(processing._FORWARD), len(processing._BACKWARD)
-        assert entry_point_outcomes(d) == expected
-        assert entry_point_outcomes(d, len(d.aset) + sum(d.values) + 0.0) == expected_float_q
-        assert (len(processing._FORWARD), len(processing._BACKWARD)) == stored
+        valued, q = Valued(d.blocks, d.values), len(d.aset) + sum(d.values)
+        calls = [(phi, d), (positive_side, d), (involution_f, d), (phi_trace, d),
+                 (run_processing, valued), (process_step, initial_state(valued)),
+                 (reverse_step, initial_state(valued), q), (reconstruct_state, valued, q),
+                 (reverse_trace, valued, q)]
+        for fn, *args in calls:
+            with pytest.raises(ValueError, match=f"^{rule}$"):
+                fn(*args)
+        with pytest.raises(ValueError, match=f"^not in the image of phi: condition 0: {rule}$"):
+            phi_inverse(d, q)
+        assert tuple(image_check(d, q)) == (False, None, f"condition 0: {rule}")
+        assert not (processing._FORWARD or processing._BACKWARD or processing._SHARED)
 
-    def test_a_zero_leader_raises_in_the_kernel(self):
-        with pytest.raises(AssertionError, match="^elements are not processed in increasing "
-                                                 "order$"):
+    def test_a_zero_leader_is_rejected(self):
+        with pytest.raises(ValueError, match="^elements must be positive ints$"):
             phi(Distinguished(((0, 1),), (2,), frozenset()))
+
+    def test_a_float_budget_changes_no_output(self):
+        # a float budget enters the backward key as q1, where 3.0 == 3, and
+        # _SHARED may then hand the stored 3.0 to a later int j; the kernel
+        # only compares both, so every result keeps its value and its ints
+        cases = [(d, phi(d), q) for s in range(5) for q in range(4) for d in forests.iter_dcf(q, s)]
+
+        def ints(d):
+            return all(type(x) is int for x in (*flatten(d.blocks), *d.values, *d.aset))
+
+        for kinds in ((float, int), (int, float)):
+            clear_memos()
+            for attempt in ("cold", "warm"):
+                for d, image, q in cases:
+                    for kind in kinds:
+                        back = phi_inverse(image, kind(q))
+                        assert back == d and ints(back), (kinds, attempt, d)
+            for d, image, q in cases:
+                assert phi(d) == image and ints(phi(d))
+                plus = positive_side(d)
+                assert type(plus) is bool
+                assert plus == (not negative_side(d) and (bool(d.aset) or
+                                                          image_check(image, q).j >= 1))
+                if negative_side(d):
+                    paired = involution_f(d)
+                    assert ints(paired) and positive_side(paired)
+                assert phi_inverse(image, q) == d and ints(phi_inverse(image, q))
 
     def test_the_memos_stay_within_their_bound(self, monkeypatch):
         cases = [(d, q) for s in range(0, 5) for q in range(0, 4) for d in forests.iter_dcf(q, s)]
@@ -1212,8 +1269,8 @@ class TestOrderPatternMemo:
         clear_memos()
         calls = []
 
-        def broken(run, lo):
-            calls.append(lo)
+        def broken(run):
+            calls.append(run)
             raise AssertionError("an unprocessed element contributes weight")
 
         monkeypatch.setattr(processing._Run, "_check_invariants", broken)
