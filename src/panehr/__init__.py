@@ -18,44 +18,28 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Polynomial", "binom_poly", "binomial", "pi_range", "poly_eval",
-    "poly_from_json", "poly_leq", "poly_to_json",
-    "Distinguished", "Valued", "block_weight", "cf1_count",
-    "cf_count_formula", "cf_refined_formula", "dcf1_signed_sum",
-    "dcf_signed_sum", "enumerate_cf", "enumerate_cf1",
-    "enumerate_cf_refined", "enumerate_dcf", "enumerate_dcf1",
-    "forest_weight", "format_distinguished", "format_forest",
-    "format_valued", "gamma",
-    "AlgorithmState", "CheckResult", "ReverseError", "image_check",
-    "involution_f", "phi", "phi_inverse", "phi_trace", "process_step",
-    "reverse_step", "reverse_trace",
-    "check_relaxation_positivity", "ehr_hypersimplex", "ehr_panhandle",
-    "ehr_paving", "ehr_product_simplex", "phi_poly", "psi_poly",
-    "upper_expression",
-    "count_points_panhandle", "count_points_paving", "interpolate",
-]
-
-# the defining module of each exported name
+# the defining module of each exported name, in __all__ order
 _HOME = {
     name: module
     for module, names in (
-        ("exactmath", "Polynomial binom_poly binomial interpolate pi_range "
-                      "poly_eval poly_from_json poly_leq poly_to_json"),
+        ("exactmath", "Polynomial binom_poly binomial pi_range poly_eval poly_from_json "
+                      "poly_leq poly_to_json"),
         ("forests", "Distinguished Valued block_weight cf1_count cf_count_formula "
                     "cf_refined_formula dcf1_signed_sum dcf_signed_sum enumerate_cf "
                     "enumerate_cf1 enumerate_cf_refined enumerate_dcf enumerate_dcf1 "
-                    "forest_weight format_distinguished format_forest format_valued "
-                    "gamma upper_expression"),
+                    "forest_weight format_distinguished format_forest format_valued gamma"),
         ("processing", "AlgorithmState CheckResult ReverseError image_check "
                        "involution_f phi phi_inverse phi_trace process_step "
                        "reverse_step reverse_trace"),
         ("ehrhart", "check_relaxation_positivity ehr_hypersimplex ehr_panhandle "
                     "ehr_paving ehr_product_simplex phi_poly psi_poly"),
+        ("forests", "upper_expression"),
         ("oracle", "count_points_panhandle count_points_paving"),
+        ("exactmath", "interpolate"),
     )
     for name in names.split()
 }
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):

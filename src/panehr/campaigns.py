@@ -65,7 +65,8 @@ class SweepReport(NamedTuple):
 
 
 # the nine campaigns at their defaults use 175 distinct pairs; typed keeps
-# ("x", True) and ("x", 1) apart
+# ("x", True) and ("x", 1) apart.  Without it and the shared verdict
+# strings, the enumerate benchmark's peak RSS read 30.5 MB against 22.0
 @lru_cache(maxsize=4096, typed=True)
 def _param(key: str, value) -> tuple[str, str]:
     """The one (key, str(value)) pair of this process for the arguments."""

@@ -42,7 +42,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations, product, starmap
 from math import comb, factorial, prod
-from operator import attrgetter
 from typing import (Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
@@ -460,46 +459,30 @@ def _dcf_skeletons(q: int, s: int, need_one: bool = False) -> Iterator[_Skeleton
 
 
 class _Family(NamedTuple):
-    """A chain-forest family: the forest of an object, the statistic that
-    keys its census and that its enumerator selects on (q or |A|), the
-    sign an object counts with, whether only positions passing
-    _leader_position_ok count, the canonical sort key, and its skeletons
-    for (q, s), the one walk of the family.
+    """A chain-forest family: whether only positions passing
+    _leader_position_ok count, the canonical sort key of its objects, and
+    its skeletons for (q, s), the one walk of the family.  The census
+    tallies the skeletons and the enumerator expands only those in the
+    query's cell, neither reading an object; the tests check both against
+    a tally of the expanded objects, one by one."""
 
-    The census tallies the skeletons' heads, lengths, signs and counts and
-    the enumerator expands only the skeletons in the query's cell, neither
-    reading an object.  The tests' brute-force generator, which shares no
-    code with the walk, is the independent reference for the expanded objects,
-    and the per-object blocks, head and sign are the reference for the
-    census and the enumerators' skeleton filter."""
-
-    blocks: Callable[[Any], Forest]
-    head: Callable[[Any], int]
-    sign: Callable[[Any], int]
     leader_split: bool
     sort_key: Callable[[Any], tuple]
     skeletons: Callable[[int, int], Iterator[_Skeleton]]
 
 
 # CF: naturally ordered forests of [s], keyed by their weight q
-_CF = _Family(blocks=lambda f: f, head=forest_weight, sign=lambda f: 1,
-              leader_split=False, sort_key=_canonical_key,
+_CF = _Family(leader_split=False, sort_key=_canonical_key,
               skeletons=lambda q, s: _cf_skeletons(range(1, s + 1)))
 # CF1: forests of [s] whose last block is led by 1, keyed by the weight of
 # the other blocks plus the size of the 1-block
-_CF1 = _Family(blocks=lambda f: f, head=lambda f: forest_weight(f[:-1]) + len(f[-1]),
-               sign=lambda f: 1, leader_split=True,
-               sort_key=_canonical_key, skeletons=_cf1_skeletons)
+_CF1 = _Family(leader_split=True, sort_key=_canonical_key, skeletons=_cf1_skeletons)
 # DCF: valued A-distinguished forests of budget q, keyed by |A|, signed by
 # the number of A blocks
-_DCF = _Family(blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
-               sign=lambda d: (-1) ** distinguished_block_count(d),
-               leader_split=False, sort_key=_dcf_sort_key, skeletons=_dcf_skeletons)
+_DCF = _Family(leader_split=False, sort_key=_dcf_sort_key, skeletons=_dcf_skeletons)
 # DCF1: those with 1 in A, so 1 leads the last block, and value 0 there;
 # keyed by |A|, signed by the number of A blocks other than the last
-_DCF1 = _Family(blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
-                sign=lambda d: (-1) ** (distinguished_block_count(d) - 1),
-                leader_split=True, sort_key=_dcf_sort_key,
+_DCF1 = _Family(leader_split=True, sort_key=_dcf_sort_key,
                 skeletons=lambda q, s: _dcf_skeletons(q, s, need_one=True))
 
 

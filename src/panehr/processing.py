@@ -36,32 +36,30 @@ element a weight contributor or in an all-processed block) on every
 block, after every step.  _Run.run checks that processed count plus
 remaining values is conserved, _run_forward checks the block length
 sequence, _Run.unstep raises the four ReverseErrors of reverse_step, and
-reconstruct_state the three of the split-index search.  phi,
-positive_side, involution_f and phi_inverse run the kernel through two
-bounded memos (_memoized), keyed by the order pattern of the non-A part:
-its blocks relabelled onto 1..k in the same relative order, its values,
-and for a reversal j and q1.  So the kernel's checks run once per
-distinct pattern, and a hit maps the stored result back onto the
+reconstruct_state the three of the split-index search.  The shape rules
+of a valued forest (one value per block, values ints, values
+nonnegative, blocks nonempty and disjoint, elements positive ints) live
+in forests._shape_violation: check_distinguished raises on them,
+image_check rejects as condition 0, and _Run.load, _reconstruct and
+run_processing raise ValueError.  _Run.load holds a snapshot's P and L
+to the same int rule, and to the blocks' elements.  _phi and
+_Run.__init__ take inputs already checked.
+
+phi, positive_side, involution_f and phi_inverse run the kernel through
+two bounded memos (_memoized), keyed by the order pattern of the non-A
+part: its blocks relabelled onto 1..k in the same relative order, its
+values, and for a reversal j and q1.  So the kernel's checks run once
+per distinct pattern, and a hit maps the stored result back onto the
 caller's elements.  That is exact because every comparison the kernel
 makes is an order comparison: elements against each other, against the
 empty stack's 0, and ranks that are x, x + size or above 2 * size, so a
 run on positive ints x1 < ... < xk takes the steps, raises the errors and
-leaves the result of the run on 1..k, relabelled.  A run that raises is
-not stored.  The traces and snapshot entry points (phi_trace,
-run_processing, process_step, reverse_step, reconstruct_state,
-reverse_trace) always run the kernel.  Both split-index searches, in
-reconstruct_state and image_check, are one linear pass (_split_index):
-the balance at j = 0 is computed once, and each further j moves one
-trailing block from the weight sum to the sizes (plus values) sum, adding
-at least 1.  The shape rules of a valued forest (one value per block,
-values ints, values nonnegative, blocks nonempty and disjoint, elements
-positive ints) live in forests._shape_violation, so it owns the element
-and value types that the relabelling relies on: check_distinguished
-raises on them, image_check rejects as condition 0, and _Run.load,
-_reconstruct and run_processing raise ValueError; _Run.load also raises
-ValueError when a snapshot's P is not a subset of the blocks' elements or
-its L not a permutation of them.  _phi and _Run.__init__ take inputs
-already checked.
+leaves the result of the run on 1..k, relabelled.  The memos keep one
+copy of each blocks and values tuple (_SHARED); j and q1 are stored as
+given.  A run that raises is not stored.  The traces and snapshot entry
+points (phi_trace, run_processing, process_step, reverse_step,
+reconstruct_state, reverse_trace) always run the kernel.
+
 The image candidates of a ground-set size s are built from frames
 (_image_frames), one walk of forests' partition walker per s that fixes
 each candidate's blocks, A, leading zero values, number of free values
@@ -83,6 +81,7 @@ from .forests import (
     Distinguished,
     Forest,
     Valued,
+    _INTS,
     _a_split,
     _cf_skeletons,
     _check_pair,
@@ -160,18 +159,19 @@ class _Run:
 
     @classmethod
     def load(cls, state: AlgorithmState) -> "_Run":
-        """A run resumed from a snapshot, with the snapshot's own order L;
-        P must lie in the blocks' elements and L must be a permutation of
-        them."""
+        """A run resumed from a snapshot, with the snapshot's own order L.
+        P and L hold ints, as the shape rule's elements do: P some of the
+        blocks' elements, L a permutation of them."""
         if violation := _shape_violation(state.blocks, state.values):
             raise ValueError(violation)
         elements = sorted(flatten(state.blocks))
-        if not set(elements).issuperset(state.processed):
+        processed, order = state.processed, state.order
+        if not _INTS.issuperset(map(type, processed)) or not set(elements).issuperset(processed):
             raise ValueError("processed set P holds elements outside the blocks")
-        if sorted(state.order) != elements:
+        if not _INTS.issuperset(map(type, order)) or sorted(order) != elements:
             raise ValueError("order L is not a permutation of the blocks' elements")
-        run = cls(state.blocks, state.values, state.processed)
-        for i, x in enumerate(state.order):
+        run = cls(state.blocks, state.values, processed)
+        for i, x in enumerate(order):
             run.rank[x] = i
         return run
 
@@ -200,8 +200,6 @@ class _Run:
         """Move every element from position a on by step places, cyclically,
         along L; returns those elements sorted by L, before the move."""
         elems = self.elems
-        if a == len(elems) - 1:  # one element moves onto itself
-            return [elems[a]]
         tail = elems[a:]
         tail.sort(key=self.rank.__getitem__)
         shift = dict(zip(tail, tail[step:] + tail[:step]))
@@ -333,48 +331,46 @@ def run_processing(valued: Valued, collect: bool = False
 
 
 # The runs of phi and of its reversal, by the order pattern of the non-A
-# part: its blocks relabelled onto 1..k in the same relative order, and
-# its values (plus j and q1 for a reversal).  Each memo, and the table
-# that keeps one copy of each tuple and int they hold, is cleared when it
-# would hold more than this many entries.  verify phi then verify
-# involution at their defaults (s <= 6, q <= 4) meet 24 147 patterns per
-# direction, which add about 8 MB to the process's peak RSS; the
-# enumerate benchmark's grid (s <= 4, q <= 6) meets 1 289.
+# part (_memoized).  Each memo, and the table that keeps one copy of each
+# blocks and values tuple they hold, is cleared when it would hold more
+# than this many entries.  verify phi then verify involution at their
+# defaults (s <= 6, q <= 4) meet 24 147 patterns per direction, which add
+# about 8 MB to the process's peak RSS; the enumerate benchmark's grid
+# (s <= 4, q <= 6) meets 1 289.
 _MEMO_BOUND = 1 << 15
 _FORWARD: dict = {}
 _BACKWARD: dict = {}
+# verify phi then verify involution peak at 50.2 MB with these three
+# dicts, 67.9 MB with two lru_cache kernels and no sharing, and 56 MB with
+# an lru-based table in place of this one
 _SHARED: dict = {}
 
 
-def _pattern(blocks: Forest, values, extra: tuple) -> tuple:
-    """The memo key (the blocks relabelled onto 1..k, then values and
-    extra) and the map back: the elements in increasing order behind a 0,
-    so that order[label] is the element, or None when each label is its
-    own element.  The blocks hold distinct positive ints, as the shape
-    rule requires."""
-    flat = sorted([x for b in blocks for x in b])
-    if not flat or flat[-1] == len(flat):  # k distinct positive ints up to k
-        return (*map(tuple, blocks), values, *extra), None
-    flat.insert(0, 0)
-    label = dict(zip(flat, range(len(flat)))).__getitem__
-    return (*[tuple(map(label, b)) for b in blocks], values, *extra), flat
-
-
 def _memoized(memo: dict, kernel, blocks: Forest, values, *extra) -> tuple:
-    """kernel(blocks, values, *extra), which returns the blocks it leaves
-    followed by more, on the caller's elements: run once per order
-    pattern.  A run that raises is not stored."""
-    key, order = _pattern(blocks, values, extra)
+    """kernel(blocks, values, *extra), which returns the blocks it leaves,
+    their values and more, on the caller's elements: run once per order
+    pattern.  The blocks hold distinct positive ints, as the shape rule
+    requires."""
     r = len(values)
+    flat = sorted([x for b in blocks for x in b])
+    # k distinct positive ints up to k are 1..k already; relabelling them
+    # too made a warm enumerate pass about 9 % slower
+    if not flat or flat[-1] == len(flat):
+        key, order = (*map(tuple, blocks), values, *extra), None
+    else:
+        flat.insert(0, 0)
+        label = dict(zip(flat, range(len(flat)))).__getitem__
+        key, order = (*[tuple(map(label, b)) for b in blocks], values, *extra), flat
     entry = memo.get(key)
     if entry is None:
         entry = kernel(key[:r], values, *extra)
         if len(memo) >= _MEMO_BOUND:
             memo.clear()
-        if len(_SHARED) + len(key) + len(entry) > _MEMO_BOUND:
+        if len(_SHARED) + 2 * (r + 1) > _MEMO_BOUND:
             _SHARED.clear()
         share = _SHARED.setdefault
-        memo[tuple([share(x, x) for x in key])] = entry = tuple([share(x, x) for x in entry])
+        memo[(*[share(t, t) for t in key[:r + 1]], *extra)] = entry = (
+            *[share(t, t) for t in entry[:r + 1]], *entry[r + 1:])
     if order is None:
         return entry
     element = order.__getitem__

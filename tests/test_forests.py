@@ -3,6 +3,8 @@
 import gc
 from itertools import combinations, product
 from math import comb, factorial
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -372,6 +374,27 @@ FAMILIES = {"cf": forests._CF, "cf1": forests._CF1,
             "dcf": forests._DCF, "dcf1": forests._DCF1}
 
 
+class View(NamedTuple):
+    """A family read object by object: an object's forest, the statistic
+    that keys its census (q or |A|) and the sign it counts with, the
+    reference for the census and the enumerators' skeleton filter."""
+
+    blocks: Callable
+    head: Callable
+    sign: Callable
+
+
+VIEWS = {
+    "cf": View(blocks=lambda f: f, head=forest_weight, sign=lambda f: 1),
+    "cf1": View(blocks=lambda f: f, head=lambda f: forest_weight(f[:-1]) + len(f[-1]),
+                sign=lambda f: 1),
+    "dcf": View(blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
+                sign=lambda d: (-1) ** forests.distinguished_block_count(d)),
+    "dcf1": View(blocks=attrgetter("blocks"), head=lambda d: len(d.aset),
+                 sign=lambda d: (-1) ** (forests.distinguished_block_count(d) - 1)),
+}
+
+
 def _leader_at(blocks, ell, m):
     """The leader of the (k-m+2)-th block sits at 1-based position ell+2,
     spelled out on the blocks."""
@@ -379,24 +402,24 @@ def _leader_at(blocks, ell, m):
     return 1 <= idx <= len(blocks) and 1 + sum(map(len, blocks[:idx - 1])) == ell + 2
 
 
-def _per_object_census(family, q, s, totals=None):
+def _per_object_census(family, view, q, s, totals=None):
     """The census tallied object by object: each object visits every
     position, with the leader-position test spelled out on its blocks."""
     census = {}
     for item in forests._expand(family.skeletons(q, s)):
-        blocks = family.blocks(item)
-        head, k = family.head(item), len(blocks)
+        blocks = view.blocks(item)
+        head, k = view.head(item), len(blocks)
         if totals is not None:
             totals[head, k] = totals.get((head, k), 0) + 1
         for ell, m in enumerate(forests.gamma_vector(blocks)):
             if family.leader_split and not _leader_at(blocks, ell, m):
                 continue
             key = (head, k, ell, m)
-            census[key] = census.get(key, 0) + family.sign(item)
+            census[key] = census.get(key, 0) + view.sign(item)
     return census
 
 
-def _per_object_lists(family, stream, s):
+def _per_object_lists(family, view, stream, s):
     """Every enumerator query's list for the expanded stream of (q, s),
     filtered object by object: each object joins the list of every
     (k, ell, m, head) it meets by its own block count, head, gamma and,
@@ -404,12 +427,12 @@ def _per_object_lists(family, stream, s):
     None is met by every object.  Lists in canonical order."""
     lists = {}
     for item in stream:
-        blocks = family.blocks(item)
+        blocks = view.blocks(item)
         cells = [(None, None)] + [
             (ell, m) for ell in range(s) for m in [forests.gamma(blocks, ell)]
             if not family.leader_split or _leader_at(blocks, ell, m)]
         for k, (ell, m), head in product((None, len(blocks)), cells,
-                                         (None, family.head(item))):
+                                         (None, view.head(item))):
             lists.setdefault((k, ell, m, head), []).append(item)
     return {query: sorted(items, key=family.sort_key) for query, items in lists.items()}
 
@@ -444,7 +467,8 @@ class TestSelect:
         family = FAMILIES[name]
         for s in range(0, 6):
             for q in range(0, 4):
-                lists = _per_object_lists(family, forests._expand(family.skeletons(q, s)), s)
+                lists = _per_object_lists(family, VIEWS[name],
+                                          forests._expand(family.skeletons(q, s)), s)
                 for query in self.queries(name, q, s):
                     assert self.enumerate(name, q, s, *query) == lists.get(query, []), \
                         (q, s, query)
@@ -508,34 +532,34 @@ class TestCensusAgainstPerObjectTally:
     @pytest.mark.parametrize("s", range(0, 8))
     def test_cf(self, s):
         totals = {}
-        refined = _per_object_census(forests._CF, 0, s, totals)
+        refined = _per_object_census(forests._CF, VIEWS["cf"], 0, s, totals)
         assert forests.cf_census(s) == (totals, refined)
 
     @pytest.mark.parametrize("s", range(0, 8))
     def test_cf1(self, s):
-        assert forests.cf1_census(s) == _per_object_census(forests._CF1, 0, s)
+        assert forests.cf1_census(s) == _per_object_census(forests._CF1, VIEWS["cf1"], 0, s)
 
     @pytest.mark.parametrize("q", range(0, 6))
     def test_dcf(self, q):
         for s in range(0, 6):
             assert forests.dcf_signed_census(q, s) == \
-                _per_object_census(forests._DCF, q, s), s
+                _per_object_census(forests._DCF, VIEWS["dcf"], q, s), s
 
     @pytest.mark.parametrize("q", range(0, 6))
     def test_dcf1(self, q):
         for s in range(0, 6):
             assert forests.dcf1_signed_census(q, s) == \
-                _per_object_census(forests._DCF1, q, s), s
+                _per_object_census(forests._DCF1, VIEWS["dcf1"], q, s), s
 
     def test_bucket_summing_to_zero_is_expanded(self):
         # in the four families the head and the lengths fix the sign, so no
         # bucket cancels there; a family with opposite signs in one bucket
         one, two = (1, (1,), 0), (2, (2,), 0)
         family = forests._CF._replace(
-            sign=lambda f: 1 if f[0] == (1,) else -1,
             skeletons=lambda q, s: iter([(0, (one, two), 1, 1, None, 0, 0),
                                          (0, (two, one), -1, 1, None, 0, 0)]))
-        assert forests._census(family, 0, 2) == _per_object_census(family, 0, 2) == \
+        view = VIEWS["cf"]._replace(sign=lambda f: 1 if f[0] == (1,) else -1)
+        assert forests._census(family, 0, 2) == _per_object_census(family, view, 0, 2) == \
             {(0, 2, 0, 2): 0, (0, 2, 1, 1): 0}
 
 
@@ -545,14 +569,14 @@ class TestSkeletons:
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_counts_match_the_stream(self, name):
-        family = FAMILIES[name]
+        family, view = FAMILIES[name], VIEWS[name]
         distinguished = name.startswith("dcf")
         for s in range(0, 7):
             for q in range(0, 5) if distinguished else [0]:
                 # objects and skeleton counts by (head, lengths), unsigned
                 listed, counted = {}, {}
                 for item in forests._expand(family.skeletons(q, s)):
-                    key = (family.head(item), tuple(map(len, family.blocks(item))))
+                    key = (view.head(item), tuple(map(len, view.blocks(item))))
                     listed[key] = listed.get(key, 0) + 1
                 for head, led, _, count, _, _, _ in family.skeletons(q, s):
                     lengths = tuple(len(b) for _, b, _ in led)

@@ -446,6 +446,16 @@ MALFORMED = [
                  id="reverse_step-foreign-processed"),
     pytest.param(reverse_step, (AlgorithmState(((1,), (2,)), (1, 0), frozenset({2}), (2, 1, 7)), 1),
                  "order L is not a permutation", id="reverse_step-foreign-order"),
+    # P and L hold ints, as the elements do: 1.0 == 1 and True == 1
+    pytest.param(process_step, (AlgorithmState(((1,), (2,)), (1, 0), frozenset({1.0}), (1, 2)),),
+                 "processed set P holds elements outside the blocks",
+                 id="process_step-float-processed"),
+    pytest.param(process_step, (AlgorithmState(((1,), (2,)), (1, 0), frozenset(), (1.0, 2)),),
+                 "order L is not a permutation", id="process_step-float-order"),
+    pytest.param(reverse_step,
+                 (AlgorithmState(((1,), (2,)), (0, 0), frozenset({True, 2}), (1, 2)), 2),
+                 "processed set P holds elements outside the blocks",
+                 id="reverse_step-bool-processed"),
 ]
 
 
@@ -1221,9 +1231,9 @@ class TestOrderPatternMemo:
             phi(Distinguished(((0, 1),), (2,), frozenset()))
 
     def test_a_float_budget_changes_no_output(self):
-        # a float budget enters the backward key as q1, where 3.0 == 3, and
-        # _SHARED may then hand the stored 3.0 to a later int j; the kernel
-        # only compares both, so every result keeps its value and its ints
+        # a float budget enters the backward key as q1, where 3.0 == 3, so
+        # a float and an int budget share one entry; the kernel only
+        # compares q1, so every result keeps its value and its ints
         cases = [(d, phi(d), q) for s in range(5) for q in range(4) for d in forests.iter_dcf(q, s)]
 
         def ints(d):
@@ -1246,6 +1256,25 @@ class TestOrderPatternMemo:
                     paired = involution_f(d)
                     assert ints(paired) and positive_side(paired)
                 assert phi_inverse(image, q) == d and ints(phi_inverse(image, q))
+            assert all(type(entry[-1]) is int for entry in processing._FORWARD.values())
+
+    def test_the_memos_share_their_tuples(self):
+        clear_memos()
+        for s in range(5):
+            for q in range(4):
+                for d in forests.iter_dcf(q, s):
+                    phi_inverse(phi(d), q)
+        shared = processing._SHARED
+        assert shared and all(type(x) is tuple for x in shared)
+        # a forward entry ends in j, a backward key in j and q1
+        for memo, key_ints, entry_ints in ((processing._FORWARD, 0, 1),
+                                           (processing._BACKWARD, 2, 0)):
+            assert memo
+            for key, entry in memo.items():
+                for items, ints in ((key, key_ints), (entry, entry_ints)):
+                    cut = len(items) - ints
+                    assert all(shared[t] is t for t in items[:cut]), (key, entry)
+                    assert all(type(x) is int for x in items[cut:]), (key, entry)
 
     def test_the_memos_stay_within_their_bound(self, monkeypatch):
         cases = [(d, q) for s in range(0, 5) for q in range(0, 4) for d in forests.iter_dcf(q, s)]
